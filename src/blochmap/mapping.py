@@ -257,37 +257,47 @@ class LambdaReport:
 
 
 def _dedupe_best(pts: np.ndarray, vals: np.ndarray, radius: float):
-    # keep the best-valued representative of each radius-sized cell
-    order = np.argsort(vals)  # ascending; later wins
-    keep = {}
-    for i in order:
-        key = (round(pts[i].real / radius), round(pts[i].imag / radius))
-        keep[key] = i
-    idx = np.array(sorted(keep.values()), dtype=int)
+    # keep the best-valued representative of each radius-sized cell; ties in
+    # value go to the point argsort puts last, and cells round half to even
+    order = np.argsort(vals)[::-1]
+    cells = np.column_stack([np.round(pts.real / radius),
+                             np.round(pts.imag / radius)]).astype(np.int64)
+    _, first = np.unique(cells[order], axis=0, return_index=True)
+    idx = np.sort(order[first])
     return pts[idx], vals[idx]
 
 
 def _single_linkage(pts: np.ndarray, radius: float):
+    # components of the graph joining points at most radius apart, each a
+    # sorted index array, ordered by their smallest index
     n = pts.size
-    parent = np.arange(n)
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    if n == 0:
+        return []
+    # edges i < j, as int32 to halve their memory on dense level sets
+    ii, jj = [], []
     block = 512
     for s in range(0, n, block):
-        zz = pts[s:s + block]
-        d = np.abs(zz[:, None] - pts[None, :])
-        ii, jj = np.nonzero(d <= radius)
-        for a, b in zip(ii, jj):
-            ra, rb = find(a + s), find(int(b))
-            if ra != rb:
-                parent[ra] = rb
-    roots = np.array([find(i) for i in range(n)])
-    return [np.flatnonzero(roots == r) for r in np.unique(roots)]
+        a, b = np.nonzero(np.abs(pts[s:s + block, None] - pts[None, s:]) <= radius)
+        keep = b > a
+        ii.append((a[keep] + s).astype(np.int32))
+        jj.append((b[keep] + s).astype(np.int32))
+    ii, jj = np.concatenate(ii), np.concatenate(jj)
+    # min-label propagation with pointer jumping: converges to the smallest
+    # index of each component
+    labels = np.arange(n)
+    while True:
+        prev = labels.copy()
+        np.minimum.at(labels, jj, labels[ii])
+        np.minimum.at(labels, ii, labels[jj])
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+        if np.array_equal(labels, prev):
+            break
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
 def _diameter(p: np.ndarray) -> float:

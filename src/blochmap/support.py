@@ -310,13 +310,54 @@ MOBIUS_SAMPLE_DEGREE = 60
 
 
 def _mobius_identity_row(w: complex, columns: int) -> np.ndarray:
-    """Coefficients of (z-w)/(1-conj(w)z) minus its value at 0, cut at the
-    column budget; an exact unit-Bloch-constant analytic part up to a tail
-    below 1e-9 for |w| <= 0.85... kept harmless by the z0-seeded beta."""
+    """Coefficients of (z-w)/(1-conj(w)z) minus its value at 0, cut after
+    degree MOBIUS_SAMPLE_DEGREE and at the column budget.
+
+    The cut is not negligible: the dropped tail of the derivative series can
+    reach |w|^60, about 5.8e-5 at |w| = 0.85, so a row is only an approximate
+    automorphism.  Certificates stay sound regardless, because each sampled
+    row's beta is computed from its own coefficients, never assumed to be one.
+    """
     row = np.zeros(columns, dtype=complex)
     k = np.arange(1, min(columns, MOBIUS_SAMPLE_DEGREE + 1))
     row[k] = (1.0 - abs(w) ** 2) * np.conj(w) ** (k - 1)
     return row
+
+
+# rows x columns of one complex matrix-vector product kept below OpenBLAS's
+# threading size: threaded calls leave a worker spinning after they return
+_BLAS_SERIAL_SIZE = 4096
+
+
+def _serial_matvec(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """rows @ vec computed on row blocks small enough to stay single-threaded.
+
+    Each output is the same gemv dot product, so the values are unchanged.
+    Blocks are split evenly so none has a single row unless the input does:
+    numpy sends a one-row product to BLAS dot, which rounds differently.
+    """
+    block = max(1, (_BLAS_SERIAL_SIZE - 1) // rows.shape[1])
+    parts = -(-rows.shape[0] // block)
+    return np.concatenate([part @ vec for part in np.array_split(rows, parts)])
+
+
+def _trimmed_side(d: np.ndarray):
+    """Evaluator of |d[rows](z)| pointwise whose Horner starts at each row's
+    last nonzero coefficient; all-zero rows read 0."""
+    nz = d != 0
+    degrees = np.where(nz.any(axis=1), d.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), -1)
+    tops = np.unique(degrees[degrees >= 0])
+
+    def values(z, rows):
+        out = np.zeros(z.shape)
+        rdeg = degrees[rows]
+        for top in tops:
+            sel = np.flatnonzero(rdeg == top)
+            if sel.size:
+                out[sel] = np.abs(polyval_batch(d[rows[sel], : top + 1], z[sel]))
+        return out
+
+    return values
 
 
 def _batch_beta(h_rows: np.ndarray, g_rows: np.ndarray, z0: complex,
@@ -326,25 +367,34 @@ def _batch_beta(h_rows: np.ndarray, g_rows: np.ndarray, z0: complex,
     Each row is seeded at z0, a coarse polar-grid argmax, and one random
     point.  Seeding at z0 makes every returned value at least the row's mu
     there, which is what the certificate's sample bound leans on.
+
+    Each side of a row runs Horner only from its last nonzero derivative
+    coefficient down.  The full-width Horner keeps its accumulator at exactly
+    zero through leading zero coefficients, so the trimmed one returns the
+    same bits, and the compass walks follow the same paths.
+
+    Nothing here may reach a threaded BLAS call: OpenBLAS keeps a worker
+    spinning for about 0.1 s after each one, which at this call rate costs a
+    second core.  The grid pass uses einsum, which never calls BLAS; only its
+    argmax is used.  The caller's functional values go through
+    ``_serial_matvec`` for the same reason.
     """
     n, k = h_rows.shape
     ks = np.arange(1, k)
     dh = h_rows[:, 1:] * ks
     dg = g_rows[:, 1:] * ks
+    abs_h = _trimmed_side(dh)
+    abs_g = _trimmed_side(dg)
 
     def mu_rows(z, rows):
-        acc_h = np.zeros(z.shape, dtype=complex)
-        acc_g = np.zeros(z.shape, dtype=complex)
-        for j in range(k - 2, -1, -1):
-            acc_h = acc_h * z + dh[rows, j]
-            acc_g = acc_g * z + dg[rows, j]
         w = 1.0 - (z.real ** 2 + z.imag ** 2)
-        return w * (np.abs(acc_h) + np.abs(acc_g))
+        return w * (abs_h(z, rows) + abs_g(z, rows))
 
     grid = polar_grid(12, 24)
     vander = grid[:, None] ** np.arange(k - 1)[None, :]
     mu_grid = (1.0 - np.abs(grid) ** 2)[None, :] * (
-        np.abs(dh @ vander.T) + np.abs(dg @ vander.T))
+        np.abs(np.einsum("nk,gk->ng", dh, vander))
+        + np.abs(np.einsum("nk,gk->ng", dg, vander)))
     best = grid[np.argmax(mu_grid, axis=1)]
     extra = rng.uniform(0.05, 0.9, n) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
     starts = np.concatenate([np.full(n, complex(z0)), best, extra])
@@ -487,7 +537,8 @@ def support_certificate(f: HarmonicMapping, samples: int = 10000, seed: int = 0,
     while done < samples:
         chunk = min(512, samples - done)
         h_rows, g_rows, labels = _draw_sample_rows(f, z0, chunk, columns, rng)
-        lvals = np.abs(weight * (h_rows @ dvec + phase * np.conj(g_rows @ dvec)))
+        lvals = np.abs(weight * (_serial_matvec(h_rows, dvec)
+                                  + phase * np.conj(_serial_matvec(g_rows, dvec))))
         betas = _batch_beta(h_rows, g_rows, z0, rng)
         sample_max = max(sample_max, float((lvals / betas).max()))
         for name in labels:
