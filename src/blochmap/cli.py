@@ -107,15 +107,13 @@ def _render_csv(payload: dict) -> str:
 
 
 def _parse_complex(text: str) -> complex:
-    parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        values = [float(p) for p in text.split(",")]
     except ValueError:
-        pass
-    raise _ArgumentError(f"complex values are written 're' or 're,im', got {text!r}")
+        values = []
+    if len(values) in (1, 2) and all(math.isfinite(v) for v in values):
+        return complex(*values)
+    raise _ArgumentError(f"complex values are written 're' or 're,im' with finite parts, got {text!r}")
 
 
 def _parse_grid(text: str):

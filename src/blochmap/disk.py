@@ -29,7 +29,7 @@ class MobiusAutomorphism:
 
     def __post_init__(self):
         c = complex(self.center)
-        if abs(c) >= 1.0:
+        if not abs(c) < 1.0:
             raise ValueError("automorphism center must lie in the open disk")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "rotation", float(self.rotation))
@@ -40,7 +40,7 @@ def hyperbolic_distance(z, w) -> float:
     z = complex(z)
     w = complex(w)
     for p in (z, w):
-        if abs(p) >= 1.0 - BOUNDARY_MARGIN:
+        if not abs(p) < 1.0 - BOUNDARY_MARGIN:
             raise ValueError("hyperbolic distance requires points away from the boundary")
     m = abs((z - w) / (1.0 - z.conjugate() * w))
     return math.atanh(m)
@@ -48,7 +48,7 @@ def hyperbolic_distance(z, w) -> float:
 
 def apply_automorphism(phi: MobiusAutomorphism, z) -> complex:
     z = complex(z)
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:
         raise ValueError("automorphisms act on the open disk")
     num = z - phi.center
     den = 1.0 - phi.center.conjugate() * z

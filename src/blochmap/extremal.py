@@ -18,6 +18,7 @@ from .mapping import (
     estimate_bloch_constant,
     lambda_set,
     little_bloch_status,
+    mu,
 )
 
 __all__ = [
@@ -331,9 +332,7 @@ def sharpening_exponent(f: HarmonicMapping, z0, delta0: float, n_max: int = 8,
     delta0 = float(delta0)
     if delta0 <= 0.0:
         raise ValueError("delta0 must be positive")
-    from .mapping import mu as _mu
-
-    if abs(_mu(f, z0) - 1.0) > 1e-8:
+    if abs(mu(f, z0) - 1.0) > 1e-8:
         raise ValueError("sharpening requires a unit-level center point")
     base = _punctured_samples(z0, delta0, n_radii, n_angles)
     deriv, w = _weighted_derivative(f, base)

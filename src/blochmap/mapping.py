@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "LevelSetShape",
     "HarmonicMapping",
     "LambdaReport",
-    "BlochEstimate",
     "mu",
     "bloch_constant",
     "estimate_bloch_constant",
@@ -62,6 +61,9 @@ class HarmonicMapping:
 
     h: AnalyticSeries
     g: AnalyticSeries
+    # Bloch estimates of this mapping keyed by search settings; see
+    # estimate_bloch_constant
+    _estimates: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.g.coefficients[0] != 0:
@@ -123,7 +125,7 @@ def _evaluate_many(f: HarmonicMapping, z: np.ndarray) -> np.ndarray:
 def mu(f: HarmonicMapping, z) -> float:
     """Weighted derivative modulus (1-|z|^2)(|h'(z)| + |g'(z)|)."""
     z = complex(z)
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:
         raise ValueError("mu is defined on the open disk")
     return float(_derivative_values(f)(np.array([z]))[0])
 
@@ -132,25 +134,30 @@ def _tail_allowance(f: HarmonicMapping) -> float:
     return (f.h.tail_bound or 0.0) + (f.g.tail_bound or 0.0)
 
 
-@dataclass(frozen=True)
-class BlochEstimate:
-    value: float
-    accuracy: float
-    argmax: complex
-
-
 def estimate_bloch_constant(f: HarmonicMapping, n_radii=64, n_angles=128,
-                            n_starts=20, step_tol=1e-10) -> BlochEstimate:
+                            n_starts=20, step_tol=1e-10) -> MaximizationResult:
     """Bloch constant sup mu_f with an estimated absolute accuracy.
 
     A fixed polar grid seeds deterministic compass ascents and the best value
     wins.  Declared coefficient tail bounds are folded into the reported
     accuracy as-is (they are declared bounds, not derivative bounds; exact
     polynomials contribute nothing).
+
+    The result is memoized on the mapping, keyed by the search settings, so
+    every analysis of one mapping object reads one β.  This is safe because
+    the coefficient arrays are read-only and the search is deterministic: a
+    memo hit returns exactly what a recomputation would, and two threads
+    racing on a first call store equal values.  The memo lives and dies with
+    its mapping.
     """
-    res = maximize_on_disk(_derivative_values(f), n_radii=n_radii,
-                           n_angles=n_angles, n_starts=n_starts, step_tol=step_tol)
-    return BlochEstimate(res.value, res.accuracy + _tail_allowance(f), res.argmax)
+    key = (n_radii, n_angles, n_starts, step_tol)
+    est = f._estimates.get(key)
+    if est is None:
+        res = maximize_on_disk(_derivative_values(f), n_radii=n_radii,
+                               n_angles=n_angles, n_starts=n_starts, step_tol=step_tol)
+        est = MaximizationResult(res.value, res.accuracy + _tail_allowance(f), res.argmax)
+        f._estimates[key] = est
+    return est
 
 
 def bloch_constant(f: HarmonicMapping, **kwargs) -> float:

@@ -147,6 +147,15 @@ def test_sharpen_not_found_is_flagged(capsys):
     assert "flagged" in err
 
 
+@pytest.mark.parametrize("z0", ["nan", "0,nan", "inf", "0,-inf"])
+def test_sharpen_rejects_non_finite_center(capsys, z0):
+    code, out, err = run_cli(capsys, "sharpen", "--family-a", "1.0",
+                             "--z0", z0, "--delta0", "0.4")
+    assert code == 1
+    assert out == ""
+    assert "finite" in err
+
+
 def test_mu_grid_csv(capsys, tmp_path):
     path = write_mapping(tmp_path, "id.json", [0.0, 1.0], [0.0])
     code, out, _ = run_cli(capsys, "mu-grid", "--mapping", path, "--grid", "4x8")

@@ -48,6 +48,27 @@ def test_distance_rejects_boundary():
         hyperbolic_distance(0.0, np.exp(0.25j))
 
 
+NON_FINITE = [complex(float("nan"), 0.0), complex(0.0, float("nan")),
+              complex(float("inf"), 0.0)]
+NON_FINITE_IDS = ["nan", "nan-imag", "inf"]
+
+
+@pytest.mark.parametrize("z", NON_FINITE, ids=NON_FINITE_IDS)
+def test_distance_rejects_non_finite_points(z):
+    with pytest.raises(ValueError):
+        hyperbolic_distance(z, 0.1)
+    with pytest.raises(ValueError):
+        hyperbolic_distance(0.1, z)
+
+
+@pytest.mark.parametrize("z", NON_FINITE, ids=NON_FINITE_IDS)
+def test_automorphism_rejects_non_finite_points(z):
+    with pytest.raises(ValueError):
+        MobiusAutomorphism(z)
+    with pytest.raises(ValueError):
+        apply_automorphism(MobiusAutomorphism(0.2j), z)
+
+
 def test_automorphism_construction():
     phi = MobiusAutomorphism(0.5j, 0.3)
     assert phi.center == 0.5j

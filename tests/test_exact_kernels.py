@@ -1,6 +1,7 @@
 """The certificate and level-set kernels against their plain reference forms.
 
-The vectorized kernels must return the same bits as the loops they replaced:
+The vectorized kernels must return the same bits as the loops they replaced,
+and the scalar Horner of ``eval_series`` the same bits as ``polyval_batch``:
 the pinned benchmark records compare ``sample_max_other`` exactly, so these
 tests use exact equality, never a tolerance.
 """
@@ -12,6 +13,8 @@ from blochmap import (
     AnalyticSeries,
     HarmonicMapping,
     counterexample_family,
+    eval_series,
+    polyval_batch,
     support_certificate,
 )
 from blochmap import mapping, support
@@ -224,3 +227,58 @@ def test_single_linkage_small_inputs():
     two = np.array([0.0, 0.05 + 0.0j])
     assert as_partition(mapping._single_linkage(two, 0.05)) == \
         as_partition(reference_single_linkage(two, 0.05)) == {frozenset({0, 1})}
+
+
+def bits(z):
+    # the bit patterns of both parts, so signed zeros and every last bit count
+    return tuple(np.array([z.real, z.imag], dtype=np.float64).view(np.uint64))
+
+
+def scalar_points(rng):
+    edge = 1.0 - 1e-6
+    return [0j, complex(-0.0, -0.0), complex(0.0, -0.0), 0.37 + 0j, -0.81 + 0j,
+            0.52j, -0.93j, edge + 0j, -edge + 0j, edge * 1j,
+            edge * np.exp(2.1j), edge * np.exp(-0.4j)] + [
+        complex(r * np.exp(2j * np.pi * t))
+        for r, t in zip(np.sqrt(rng.random(20)), rng.random(20))]
+
+
+def scalar_coefficients(degree, rng):
+    dense = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+    sparse = dense.copy()
+    sparse[rng.random(degree + 1) < 0.5] = 0.0
+    sparse[-1] = dense[-1]
+    signed = sparse.copy()
+    signed[::3] = complex(-0.0, 0.0)
+    lead_zero = dense.copy()
+    lead_zero[0] = 0.0
+    return [dense, sparse, signed, lead_zero, np.zeros(degree + 1, dtype=complex)]
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 8, 60, 140])
+def test_eval_series_matches_polyval_batch_bits(degree):
+    rng = np.random.default_rng(100 + degree)
+    points = scalar_points(rng)
+    for c in scalar_coefficients(degree, rng):
+        s = AnalyticSeries(c)
+        for z in points:
+            assert bits(eval_series(s, z)) == bits(complex(polyval_batch(s.coefficients, z))), (c, z)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 8, 60, 140])
+def test_mapping_call_matches_evaluate_many_bits(degree):
+    rng = np.random.default_rng(200 + degree)
+    points = scalar_points(rng)
+    cs = scalar_coefficients(degree, rng)
+    for ch, cg in zip(cs, cs[1:] + cs[:1]):
+        cg = cg.copy()
+        cg[0] = 0.0
+        f = HarmonicMapping(AnalyticSeries(ch), AnalyticSeries(cg))
+        for z in points:
+            assert bits(f(z)) == bits(mapping._evaluate_many(f, np.array([z]))[0]), (z,)
+
+
+def test_family_call_matches_evaluate_many_bits():
+    rng = np.random.default_rng(300)
+    for z in scalar_points(rng):
+        assert bits(FAMILY(z)) == bits(mapping._evaluate_many(FAMILY, np.array([z]))[0])

@@ -24,7 +24,10 @@ from blochmap import (
     save_mapping,
     scale_mapping,
     sup_modulus,
+    support_certificate,
 )
+from blochmap import mapping
+from blochmap.extremal import extreme_necessity, membership
 
 IDENTITY = HarmonicMapping(AnalyticSeries([0.0, 1.0]), AnalyticSeries([0.0]))
 INV_SQRT3 = 0.5773502691896258
@@ -46,6 +49,18 @@ def test_mu_identity_profile():
     assert mu(IDENTITY, 0.5) == pytest.approx(0.75, abs=1e-15)
     with pytest.raises(ValueError):
         mu(IDENTITY, 1.0)
+
+
+NON_FINITE = [complex(float("nan"), 0.0), complex(0.0, float("nan")),
+              complex(float("inf"), 0.0), complex(0.0, -float("inf"))]
+
+
+@pytest.mark.parametrize("z", NON_FINITE, ids=["nan", "nan-imag", "inf", "-inf-imag"])
+def test_mu_and_call_reject_non_finite_points(z):
+    with pytest.raises(ValueError):
+        mu(IDENTITY, z)
+    with pytest.raises(ValueError):
+        IDENTITY(z)
 
 
 def test_bloch_constant_identity():
@@ -196,3 +211,72 @@ def test_load_mapping_malformed_file(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ValueError, match="malformed"):
         load_mapping(path)
+
+
+def fresh_identity():
+    # a new object each time, so no test sees another test's memo
+    return HarmonicMapping(AnalyticSeries([0.0, 1.0]), AnalyticSeries([0.0]))
+
+
+def random_mapping(seed, degree=6):
+    rng = np.random.default_rng(seed)
+    h = 0.2 * (rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
+    g = 0.2 * (rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
+    g[0] = 0.0
+    return HarmonicMapping(AnalyticSeries(h), AnalyticSeries(g))
+
+
+def count_searches(monkeypatch):
+    calls = []
+    inner = mapping.maximize_on_disk
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(mapping, "maximize_on_disk", counted)
+    return calls
+
+
+def test_bloch_estimate_is_memoized_on_the_mapping():
+    f = random_mapping(1)
+    est = estimate_bloch_constant(f)
+    assert estimate_bloch_constant(f) is est
+    assert bloch_constant(f) == est.value
+
+
+def test_twin_mapping_gives_an_equal_estimate():
+    f = random_mapping(2)
+    twin = HarmonicMapping(AnalyticSeries(f.h.coefficients), AnalyticSeries(f.g.coefficients))
+    est, twin_est = estimate_bloch_constant(f), estimate_bloch_constant(twin)
+    assert twin_est is not est
+    assert twin_est == est
+
+
+def test_grid_arguments_get_their_own_memo_entry(monkeypatch):
+    f = random_mapping(3)
+    default = estimate_bloch_constant(f)
+    coarse = estimate_bloch_constant(f, n_radii=32)
+    assert coarse is not default
+    assert estimate_bloch_constant(f) is default
+    assert estimate_bloch_constant(f, n_radii=32) is coarse
+    twin = HarmonicMapping(AnalyticSeries(f.h.coefficients), AnalyticSeries(f.g.coefficients))
+    assert estimate_bloch_constant(twin, n_radii=32) == coarse
+    calls = count_searches(monkeypatch)
+    estimate_bloch_constant(f, n_radii=32, n_starts=5)
+    assert len(calls) == 1
+
+
+def test_screen_analyses_share_one_search(monkeypatch):
+    f = fresh_identity()
+    calls = count_searches(monkeypatch)
+    membership(f)
+    extreme_necessity(f)
+    lambda_set(f)
+    assert len(calls) == 1
+
+
+def test_support_certificate_runs_one_search(monkeypatch):
+    calls = count_searches(monkeypatch)
+    support_certificate(fresh_identity(), 16, 0)
+    assert len(calls) == 1

@@ -59,6 +59,13 @@ def test_eval_inside_disk_only():
         eval_series(s, 1.0)
 
 
+@pytest.mark.parametrize("z", [complex(float("nan"), 0.0), complex(0.0, float("nan")),
+                               complex(float("inf"), 0.0)], ids=["nan", "nan-imag", "inf"])
+def test_eval_rejects_non_finite_points(z):
+    with pytest.raises(ValueError):
+        eval_series(AnalyticSeries([0.0, 1.0]), z)
+
+
 def test_differentiate_power_rule():
     s = AnalyticSeries([5.0, 1.0, 2.0, 3.0])
     d = differentiate(s)
