@@ -1,147 +1,14 @@
 """Numerics for planar harmonic Bloch mappings f = h + conj(g): Bloch
 constants and norms, unit level sets, hyperbolic geometry of the disk,
-extreme-point screens, and support-point certification."""
+extreme-point screens, and support-point certification.
 
-from .series import (
-    AnalyticSeries,
-    differentiate,
-    dilate,
-    eval_series,
-    linear_combination,
-    multiply,
-    polyval_batch,
-    scale,
-    sqrt_nonvanishing,
-)
-from .disk import (
-    MobiusAutomorphism,
-    apply_automorphism,
-    hyperbolic_distance,
-    precompose,
-)
-from .optimize import MaximizationResult, compass_maximize, maximize_on_disk, polar_grid
-from .mapping import (
-    HarmonicMapping,
-    LambdaReport,
-    LevelSetShape,
-    Ternary,
-    add_mappings,
-    bloch_constant,
-    bloch_norm,
-    estimate_bloch_constant,
-    lambda_set,
-    little_bloch_status,
-    load_mapping,
-    mapping_from_dict,
-    mapping_to_dict,
-    metric_beta_estimate,
-    mu,
-    mu_grid_rows,
-    save_mapping,
-    scale_mapping,
-    sup_modulus,
-)
-from .extremal import (
-    CoefficientConditions,
-    ExtremeNecessityReport,
-    ExtremeVerdict,
-    MembershipReport,
-    SharpeningResult,
-    coefficient_conditions,
-    counterexample_family,
-    extreme_necessity,
-    membership,
-    midpoint_check,
-    rotation_normalize,
-    sharpening_exponent,
-    verify_sharpening,
-)
-from .support import (
-    BonkConstants,
-    FalsifierOutcome,
-    FalsifierStatus,
-    LinearFunctional,
-    PointDerivativeFunctional,
-    SupportCertificate,
-    SupportDecomposition,
-    bonk_constants,
-    decompose_support_point,
-    dilation_bound,
-    functional_eval,
-    lift_to_derivative,
-    perturbation_falsifier,
-    sample_unit_ball,
-    support_certificate,
-    verify_bonk_constants,
-)
+Each submodule's ``__all__`` is its list of public names."""
+
+from .series import *
+from .disk import *
+from .optimize import *
+from .mapping import *
+from .extremal import *
+from .support import *
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnalyticSeries",
-    "differentiate",
-    "dilate",
-    "eval_series",
-    "linear_combination",
-    "multiply",
-    "polyval_batch",
-    "scale",
-    "sqrt_nonvanishing",
-    "MobiusAutomorphism",
-    "apply_automorphism",
-    "hyperbolic_distance",
-    "precompose",
-    "MaximizationResult",
-    "compass_maximize",
-    "maximize_on_disk",
-    "polar_grid",
-    "HarmonicMapping",
-    "LambdaReport",
-    "LevelSetShape",
-    "Ternary",
-    "add_mappings",
-    "bloch_constant",
-    "bloch_norm",
-    "estimate_bloch_constant",
-    "lambda_set",
-    "little_bloch_status",
-    "load_mapping",
-    "mapping_from_dict",
-    "mapping_to_dict",
-    "metric_beta_estimate",
-    "mu",
-    "mu_grid_rows",
-    "save_mapping",
-    "scale_mapping",
-    "sup_modulus",
-    "CoefficientConditions",
-    "ExtremeNecessityReport",
-    "ExtremeVerdict",
-    "MembershipReport",
-    "SharpeningResult",
-    "coefficient_conditions",
-    "counterexample_family",
-    "extreme_necessity",
-    "membership",
-    "midpoint_check",
-    "rotation_normalize",
-    "sharpening_exponent",
-    "verify_sharpening",
-    "BonkConstants",
-    "FalsifierOutcome",
-    "FalsifierStatus",
-    "LinearFunctional",
-    "PointDerivativeFunctional",
-    "SupportCertificate",
-    "SupportDecomposition",
-    "bonk_constants",
-    "decompose_support_point",
-    "dilation_bound",
-    "functional_eval",
-    "lift_to_derivative",
-    "perturbation_falsifier",
-    "sample_unit_ball",
-    "support_certificate",
-    "verify_bonk_constants",
-    "__version__",
-]

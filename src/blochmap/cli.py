@@ -51,6 +51,7 @@ class CommandResult:
     diagnostics: list = field(default_factory=list)
     render: str = "json"
     out_path: str | None = None
+    text: str | None = None
 
 
 class _ArgumentError(Exception):
@@ -62,41 +63,13 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message)
 
 
-def _scalar_json(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        v = float(v)
-        if not math.isfinite(v):
-            raise ValueError("payload contains a non-finite number")
-        return format(v, ".17g")
-    if isinstance(v, str):
-        return json.dumps(v)
-    if v is None:
-        return "null"
+def _json_default(v):
+    # json.dumps hook: complex values as [re, im], numpy values as Python ones
+    if isinstance(v, complex):
+        return [v.real, v.imag]
+    if isinstance(v, (np.ndarray, np.generic)):
+        return v.tolist()
     raise TypeError(f"cannot serialize {type(v).__name__}")
-
-
-def _render_json(v, indent="") -> str:
-    if isinstance(v, (complex, np.complexfloating)):
-        v = [v.real, v.imag]
-    if isinstance(v, dict):
-        if not v:
-            return "{}"
-        inner = indent + "  "
-        items = [f"{inner}{json.dumps(str(k))}: {_render_json(x, inner)}"
-                 for k, x in v.items()]
-        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if isinstance(v, (list, tuple, np.ndarray)):
-        seq = list(v)
-        if all(not isinstance(x, (dict, list, tuple, np.ndarray)) for x in seq):
-            return "[" + ", ".join(_scalar_json(x) for x in seq) + "]"
-        inner = indent + "  "
-        items = [f"{inner}{_render_json(x, inner)}" for x in seq]
-        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
-    return _scalar_json(v)
 
 
 def _render_csv(payload: dict) -> str:
@@ -104,6 +77,15 @@ def _render_csv(payload: dict) -> str:
     for row in payload["rows"]:
         lines.append(",".join(format(float(x), ".17g") for x in row))
     return "\n".join(lines)
+
+
+def _render(result: CommandResult) -> str:
+    if result.render == "csv":
+        return _render_csv(result.payload)
+    try:
+        return json.dumps(result.payload, indent=2, allow_nan=False, default=_json_default)
+    except ValueError as exc:
+        raise ValueError("payload contains a non-finite number") from exc
 
 
 def _parse_complex(text: str) -> complex:
@@ -242,7 +224,8 @@ def _cmd_functional(args) -> CommandResult:
 
 def _cmd_certify_support(args) -> CommandResult:
     f = _input_mapping(args)
-    cert = support_certificate(f, args.samples or 10000, args.seed, args.tol)
+    cert = support_certificate(f, 10000 if args.samples is None else args.samples,
+                               args.seed, args.tol)
     if cert is None:
         return CommandResult("OK", {"status": "NONE"})
     return CommandResult("OK", {"status": "CERTIFIED", **cert.to_dict()})
@@ -252,7 +235,7 @@ def _cmd_bonk(args) -> CommandResult:
     if args.m is None:
         raise _ArgumentError("bonk requires --m VALUE (the nonnegative level M)")
     bc = bonk_constants(args.m)
-    n = args.samples or 10 ** 5
+    n = 10 ** 5 if args.samples is None else args.samples
     slack = verify_bonk_constants(bc, n_samples=n, seed=args.seed)
     payload = {**bc.to_dict(), "verified_min_slack": slack, "verification_samples": n}
     return CommandResult("OK", payload)
@@ -305,9 +288,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--grid", type=_parse_grid, metavar="RxT",
                         help="polar grid sizes, radii x angles (default 64x128)")
     common.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
-    common.add_argument("--threads", type=int, metavar="N",
-                        help="worker cap; computations are vectorized in-process, "
-                             "so this is accepted for script compatibility")
 
     parser = _Parser(prog="blochmap",
                      description="Bloch constants, unit level sets and support "
@@ -350,17 +330,19 @@ def _build_parser() -> _Parser:
 
 
 def run(argv) -> CommandResult:
-    """Parse arguments and execute one subcommand; never raises for user
-    errors, which come back as ERROR results with a diagnostic."""
+    """Parse arguments, execute one subcommand and render its payload; never
+    raises for user errors, which come back as ERROR results with a
+    diagnostic.  A payload that cannot be rendered (a non-finite number) is
+    such an error too."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         result = _HANDLERS[args.command](args)
         result.out_path = args.out
+        if result.payload is not None:
+            result.text = _render(result)
         return result
-    except _ArgumentError as exc:
-        return CommandResult("ERROR", None, [str(exc)])
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (_ArgumentError, ValueError, RuntimeError, OSError) as exc:
         return CommandResult("ERROR", None, [str(exc)])
 
 
@@ -370,15 +352,13 @@ def main(argv=None) -> int:
         result.diagnostics = ["unspecified error"]
     for line in result.diagnostics:
         print(line, file=sys.stderr)
-    if result.payload is not None:
-        text = (_render_csv(result.payload) if result.render == "csv"
-                else _render_json(result.payload))
+    if result.text is not None:
         if result.out_path:
             with open(result.out_path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+                fh.write(result.text + "\n")
         else:
             try:
-                print(text)
+                print(result.text)
             except BrokenPipeError:
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_CODES[result.status]

@@ -9,12 +9,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import AnalyticSeries, differentiate, linear_combination, polyval_batch, scale
+from .series import AnalyticSeries, differentiate, linear_combination
 from .mapping import (
     HarmonicMapping,
     LambdaReport,
     LevelSetShape,
     Ternary,
+    _abs_sum,
+    _disk_weight,
+    _mu_values,
     estimate_bloch_constant,
     lambda_set,
     little_bloch_status,
@@ -82,13 +85,7 @@ def membership(f: HarmonicMapping) -> MembershipReport:
     little = little_bloch_status(f)
 
     def tri(base_ok):
-        if not base_ok:
-            return Ternary.FALSE
-        if little is Ternary.TRUE:
-            return Ternary.TRUE
-        if little is Ternary.FALSE:
-            return Ternary.FALSE
-        return Ternary.UNDECIDED
+        return little if base_ok else Ternary.FALSE
 
     return MembershipReport(
         in_unit_ball=in_ball,
@@ -296,18 +293,11 @@ def _punctured_samples(z0: complex, delta: float, n_radii: int, n_angles: int,
     return pts
 
 
-def _weighted_derivative(f: HarmonicMapping, pts: np.ndarray):
-    hp = differentiate(f.h).coefficients
-    gp = differentiate(f.g).coefficients
-    w = 1.0 - (pts.real ** 2 + pts.imag ** 2)
-    deriv = np.abs(polyval_batch(hp, pts)) + np.abs(polyval_batch(gp, pts))
-    return deriv, w
-
-
 def _sharpening_margins(f: HarmonicMapping, pts: np.ndarray, z0: complex, n: int) -> np.ndarray:
-    deriv, w = _weighted_derivative(f, pts)
+    # the weight multiplies the whole sum; distributing it would round differently
+    deriv = _abs_sum(differentiate(f.h).coefficients, differentiate(f.g).coefficients, pts)
     mob = np.abs((pts - z0) / (1.0 - np.conj(z0) * pts))
-    return 1.0 - (deriv + mob ** n) * w
+    return 1.0 - (deriv + mob ** n) * _disk_weight(pts)
 
 
 # accepted margins must clear float noise; smaller positives are treated as zero
@@ -330,13 +320,12 @@ def sharpening_exponent(f: HarmonicMapping, z0, delta0: float, n_max: int = 8,
     """
     z0 = complex(z0)
     delta0 = float(delta0)
-    if delta0 <= 0.0:
-        raise ValueError("delta0 must be positive")
+    if not 0.0 < delta0 < math.inf:
+        raise ValueError("delta0 must be a positive finite number")
     if abs(mu(f, z0) - 1.0) > 1e-8:
         raise ValueError("sharpening requires a unit-level center point")
     base = _punctured_samples(z0, delta0, n_radii, n_angles)
-    deriv, w = _weighted_derivative(f, base)
-    if not bool((deriv * w < 1.0 - 1e-12).all()):
+    if not bool((_mu_values(f)(base) < 1.0 - 1e-12).all()):
         raise ValueError("mu must stay below one on the punctured neighborhood")
     delta = delta0
     for _ in range(max_halvings + 1):

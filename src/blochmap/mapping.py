@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .series import AnalyticSeries, differentiate, eval_series, linear_combination, polyval_batch
-from .optimize import DISK_RADIUS_CAP, MaximizationResult, compass_maximize, maximize_on_disk, polar_grid
+from .optimize import MaximizationResult, compass_maximize, maximize_on_disk, polar_grid
 
 __all__ = [
     "Ternary",
@@ -94,28 +95,28 @@ def scale_mapping(f: HarmonicMapping, factor) -> HarmonicMapping:
     )
 
 
-def _derivative_values(f: HarmonicMapping):
-    hp = differentiate(f.h).coefficients
-    gp = differentiate(f.g).coefficients
+def _abs_sum(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """|P_a(z)| + |P_b(z)| for coefficient vectors a and b: on (h', g') the
+    unweighted mu_f, on (h, g) the unweighted modulus."""
+    return np.abs(polyval_batch(a, z)) + np.abs(polyval_batch(b, z))
 
+
+def _disk_weight(z: np.ndarray) -> np.ndarray:
+    return 1.0 - (z.real ** 2 + z.imag ** 2)
+
+
+def _weighted_abs_sum(a: np.ndarray, b: np.ndarray):
+    """The vectorized objective z -> (1 - |z|^2)(|P_a(z)| + |P_b(z)|)."""
     def values(z):
         z = np.asarray(z, dtype=complex)
-        w = 1.0 - (z.real ** 2 + z.imag ** 2)
-        return w * (np.abs(polyval_batch(hp, z)) + np.abs(polyval_batch(gp, z)))
+        return _disk_weight(z) * _abs_sum(a, b, z)
 
     return values
 
 
-def _modulus_values(f: HarmonicMapping):
-    hc = f.h.coefficients
-    gc = f.g.coefficients
-
-    def values(z):
-        z = np.asarray(z, dtype=complex)
-        w = 1.0 - (z.real ** 2 + z.imag ** 2)
-        return w * (np.abs(polyval_batch(hc, z)) + np.abs(polyval_batch(gc, z)))
-
-    return values
+def _mu_values(f: HarmonicMapping):
+    """mu_f as a vectorized objective."""
+    return _weighted_abs_sum(differentiate(f.h).coefficients, differentiate(f.g).coefficients)
 
 
 def _evaluate_many(f: HarmonicMapping, z: np.ndarray) -> np.ndarray:
@@ -127,7 +128,7 @@ def mu(f: HarmonicMapping, z) -> float:
     z = complex(z)
     if not abs(z) < 1.0:
         raise ValueError("mu is defined on the open disk")
-    return float(_derivative_values(f)(np.array([z]))[0])
+    return float(_mu_values(f)(np.array([z]))[0])
 
 
 def _tail_allowance(f: HarmonicMapping) -> float:
@@ -153,7 +154,7 @@ def estimate_bloch_constant(f: HarmonicMapping, n_radii=64, n_angles=128,
     key = (n_radii, n_angles, n_starts, step_tol)
     est = f._estimates.get(key)
     if est is None:
-        res = maximize_on_disk(_derivative_values(f), n_radii=n_radii,
+        res = maximize_on_disk(_mu_values(f), n_radii=n_radii,
                                n_angles=n_angles, n_starts=n_starts, step_tol=step_tol)
         est = MaximizationResult(res.value, res.accuracy + _tail_allowance(f), res.argmax)
         f._estimates[key] = est
@@ -204,7 +205,7 @@ def metric_beta_estimate(f: HarmonicMapping, samples: int, seed: int = 0) -> flo
     n_dirs = 16
     n_anchor = max(1, samples // 2 // n_dirs)
     grid = polar_grid(48, 96, 1.0 - 1e-6)
-    anchors = grid[np.argsort(_derivative_values(f)(grid))[::-1][:n_anchor]]
+    anchors = grid[np.argsort(_mu_values(f)(grid))[::-1][:n_anchor]]
     # directions modulo sign; the quotient is symmetric in the pair
     phis = np.pi * np.arange(n_dirs) / n_dirs
     z = np.repeat(anchors, n_dirs)
@@ -345,6 +346,8 @@ def _cluster_is_curve(p: np.ndarray, merge_radius: float) -> bool:
 
 def _unit_level_report(values, tol: float, flagged: bool, n_radii: int,
                        n_angles: int, merge_radius: float, step_tol=1e-10) -> LambdaReport:
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tolerance must be a positive finite number")
     grid = polar_grid(n_radii, n_angles)
     gv = values(grid)
     band = max(0.02, 10.0 * tol)
@@ -380,18 +383,16 @@ def lambda_set(f: HarmonicMapping, tol: float = 1e-6, n_radii: int = 64,
     bounding all points away from the boundary.
     """
     tol = float(tol)
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
     est = estimate_bloch_constant(f, n_radii=n_radii, n_angles=n_angles)
     norm = abs(f.value_at_origin) + est.value
-    return _unit_level_report(_derivative_values(f), tol, norm > 1.0 + tol,
+    return _unit_level_report(_mu_values(f), tol, norm > 1.0 + tol,
                               n_radii, n_angles, merge_radius)
 
 
 def sup_modulus(f: HarmonicMapping, tol: float = 1e-6, n_radii: int = 64,
                 n_angles: int = 128, merge_radius: float = 0.05):
     """sup (|h| + |g|)(1 - |z|^2) together with a report on its unit level set."""
-    values = _modulus_values(f)
+    values = _weighted_abs_sum(f.h.coefficients, f.g.coefficients)
     res = maximize_on_disk(values, n_radii=n_radii, n_angles=n_angles)
     report = _unit_level_report(values, tol, res.value > 1.0 + tol,
                                 n_radii, n_angles, merge_radius)
@@ -401,7 +402,7 @@ def sup_modulus(f: HarmonicMapping, tol: float = 1e-6, n_radii: int = 64,
 def mu_grid_rows(f: HarmonicMapping, n_radii: int = 64, n_angles: int = 128) -> np.ndarray:
     """Rows (re, im, mu) over the standard polar grid, for CSV dumps."""
     grid = polar_grid(n_radii, n_angles)
-    vals = _derivative_values(f)(grid)
+    vals = _mu_values(f)(grid)
     return np.column_stack([grid.real, grid.imag, vals])
 
 

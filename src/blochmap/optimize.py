@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DISK_RADIUS_CAP", "polar_grid", "compass_maximize", "maximize_on_disk", "MaximizationResult"]
+__all__ = ["polar_grid", "compass_maximize", "maximize_on_disk", "MaximizationResult"]
 
 # searches never leave |z| <= 1 - 1e-9
 DISK_RADIUS_CAP = 1.0 - 1e-9

@@ -19,10 +19,7 @@ __all__ = [
     "polyval_batch",
     "differentiate",
     "dilate",
-    "sqrt_nonvanishing",
     "linear_combination",
-    "scale",
-    "multiply",
 ]
 
 
@@ -125,26 +122,6 @@ def dilate(s: AnalyticSeries, epsilon: float) -> AnalyticSeries:
     return AnalyticSeries(s.coefficients * factors, s.tail_bound)
 
 
-def sqrt_nonvanishing(s: AnalyticSeries) -> AnalyticSeries:
-    """Branch of the square root with value 1 at the origin.
-
-    Uses the direct coefficient recurrence from psi**2 = s rather than an
-    exp/log detour: psi_0 = 1 and
-    psi_n = (s_n - sum_{j=1}^{n-1} psi_j psi_{n-j}) / 2.
-    """
-    c = s.coefficients
-    if abs(c[0] - 1.0) > 1e-12:
-        raise ValueError("square-root recurrence requires constant term 1")
-    n = c.size
-    psi = np.zeros(n, dtype=complex)
-    psi[0] = 1.0
-    for k in range(1, n):
-        acc = np.dot(psi[1:k], psi[k - 1:0:-1]) if k >= 2 else 0.0
-        psi[k] = (c[k] - acc) / 2.0
-    # the root of a polynomial is generally not a polynomial
-    return AnalyticSeries(psi, np.inf)
-
-
 def _combined_order(s: AnalyticSeries, t: AnalyticSeries) -> int:
     # exact polynomials combine exactly; a declared tail caps the usable order
     if s.is_exact and t.is_exact:
@@ -170,17 +147,3 @@ def linear_combination(alpha, s: AnalyticSeries, beta, t: AnalyticSeries) -> Ana
             dropped += abs(beta) * np.abs(t.coefficients[order + 1:]).sum()
             tb += dropped
     return AnalyticSeries(out, tb)
-
-
-def scale(s: AnalyticSeries, factor) -> AnalyticSeries:
-    tb = None if s.tail_bound is None else abs(factor) * s.tail_bound
-    return AnalyticSeries(s.coefficients * complex(factor), tb)
-
-
-def multiply(s: AnalyticSeries, t: AnalyticSeries) -> AnalyticSeries:
-    """Cauchy product; exact polynomials keep full degree, tails truncate to min."""
-    full = np.convolve(s.coefficients, t.coefficients)
-    if s.is_exact and t.is_exact:
-        return AnalyticSeries(full, None)
-    order = min(s.truncation_order, t.truncation_order)
-    return AnalyticSeries(full[: order + 1], np.inf)

@@ -12,15 +12,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import AnalyticSeries, dilate, linear_combination, polyval_batch
+from .series import AnalyticSeries, differentiate, dilate, eval_series, linear_combination, polyval_batch
 from .optimize import compass_maximize, maximize_on_disk, polar_grid
 from .mapping import (
     HarmonicMapping,
     LevelSetShape,
-    _derivative_values,
-    _modulus_values,
+    _abs_sum,
+    _mu_values,
     _tail_allowance,
-    bloch_constant,
+    _weighted_abs_sum,
     bloch_norm,
     estimate_bloch_constant,
     lambda_set,
@@ -220,6 +220,8 @@ def verify_bonk_constants(constants: BonkConstants, n_samples: int = 10 ** 6,
                           seed: int = 0) -> float:
     """Worst slack of the annulus inequality over random (eps, r) samples;
     nonnegative means no violation was found."""
+    if n_samples < 1:
+        raise ValueError("at least one sample is required")
     rng = np.random.default_rng(seed)
     eps = rng.uniform(0.0, constants.epsilon1, n_samples)
     eps = np.maximum(eps, 1e-12)
@@ -239,8 +241,8 @@ class PointDerivativeFunctional:
 
     def evaluate(self, target) -> complex:
         s, t = _parts(target)
-        sp = _series_derivative_at(s, self.z0)
-        tp = _series_derivative_at(t, self.z0)
+        sp = eval_series(differentiate(s), self.z0)
+        tp = eval_series(differentiate(t), self.z0)
         return self.weight * (sp + cmath.exp(1j * self.theta0) * np.conj(tp))
 
     def as_linear_functional(self, degree: int) -> LinearFunctional:
@@ -261,14 +263,6 @@ class PointDerivativeFunctional:
             "theta0": self.theta0,
             "weight": [self.weight.real, self.weight.imag],
         }
-
-
-def _series_derivative_at(s: AnalyticSeries, z0: complex) -> complex:
-    c = s.coefficients
-    if c.size <= 1:
-        return 0j
-    d = c[1:] * np.arange(1, c.size)
-    return complex(polyval_batch(d, np.array([z0]))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -504,7 +498,7 @@ def support_certificate(f: HarmonicMapping, samples: int = 10000, seed: int = 0,
         return None
     z0 = complex(lam.points[int(np.argmin(lam.residuals))])
 
-    values = _derivative_values(f)
+    values = _mu_values(f)
     pts, vals = compass_maximize(lambda z, _w: values(z), np.array([z0]),
                                  1e-3, step_tol=1e-12)
     z0 = complex(pts[0])
@@ -512,8 +506,8 @@ def support_certificate(f: HarmonicMapping, samples: int = 10000, seed: int = 0,
     if mu0 < 1.0 - 1e-9:
         return None
 
-    hp0 = _series_derivative_at(f.h, z0)
-    gp0 = _series_derivative_at(f.g, z0)
+    hp0 = eval_series(differentiate(f.h), z0)
+    gp0 = eval_series(differentiate(f.g), z0)
     theta0 = cmath.phase(hp0) + cmath.phase(gp0) if gp0 != 0 else 0.0
     weight = np.conj(hp0) + cmath.exp(-1j * theta0) * gp0
     functional = PointDerivativeFunctional(z0, theta0, complex(weight))
@@ -613,6 +607,15 @@ def _monomial_modulus_peak(k0: int) -> float:
     return (k0 / (k0 + 2.0)) ** (k0 / 2.0) * (2.0 / (k0 + 2.0))
 
 
+def _inner_disk_gap(f: HarmonicMapping, radius: float) -> float:
+    """Half the smallest gap of 1/(1-|z|^2) - (|h|+|g|) on the disk |z| <= radius,
+    floored at zero; the declared tails count against the gap."""
+    grid = polar_grid(48, 96, r_max=radius)
+    inv = 1.0 / (1.0 - np.abs(grid) ** 2)
+    moduli = _abs_sum(f.h.coefficients, f.g.coefficients, grid) + _tail_allowance(f)
+    return max(0.5 * float((inv - moduli).min()), 0.0)
+
+
 def perturbation_falsifier(L: LinearFunctional, f: HarmonicMapping,
                            tol: float = 1e-6) -> FalsifierOutcome:
     """Try to beat f against L inside the modulus ball.
@@ -647,13 +650,8 @@ def perturbation_falsifier(L: LinearFunctional, f: HarmonicMapping,
 
     M_H = abs(c) * _monomial_modulus_peak(k0)
     bc = bonk_constants(M_H)
-    # half the smallest gap of 1/(1-|z|^2) - (|h|+|g|) on the inner disk;
-    # the bump may eat one half and the dilation keeps the other
-    grid = polar_grid(48, 96, r_max=bc.R)
-    inv = 1.0 / (1.0 - np.abs(grid) ** 2)
-    moduli = (np.abs(polyval_batch(f.h.coefficients, grid))
-              + np.abs(polyval_batch(f.g.coefficients, grid)) + _tail_allowance(f))
-    delta = max(0.5 * float((inv - moduli).min()), 0.0)
+    # the bump may eat one half of the inner-disk gap and the dilation keeps the other
+    delta = _inner_disk_gap(f, bc.R)
 
     caps = [bc.epsilon1, 0.25, delta / max(abs(c) * bc.R ** k0, 1e-300)]
     if k0 >= 1:
@@ -671,7 +669,8 @@ def perturbation_falsifier(L: LinearFunctional, f: HarmonicMapping,
         qg = linear_combination(1.0, f.g, eps, H[1])
         f_tilde = HarmonicMapping(dilate(qh, eps), dilate(qg, eps))
         improvement = functional_eval(L, f_tilde).real - base_value
-        new_modulus = (maximize_on_disk(_modulus_values(f_tilde)).value
+        new_modulus = (maximize_on_disk(_weighted_abs_sum(f_tilde.h.coefficients,
+                                                          f_tilde.g.coefficients)).value
                        + _tail_allowance(f_tilde))
         if improvement > 0.0 and new_modulus <= 1.0 + 1e-12:
             return FalsifierOutcome(FalsifierStatus.IMPROVED, "perturbation verified",
@@ -715,8 +714,8 @@ def decompose_support_point(f0: HarmonicMapping, tol: float = 1e-6):
     constant-free inputs degenerate to lambda1 = 1 and lambda1 = 0.
     """
     tol = float(tol)
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tolerance must be a positive finite number")
     norm = bloch_norm(f0)
     if norm > 1.0 + tol:
         raise ValueError("decomposition requires Bloch norm at most one")

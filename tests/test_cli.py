@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blochmap import AnalyticSeries, HarmonicMapping, save_mapping
+from blochmap import cli
 from blochmap.cli import main
 
 INV_SQRT3 = 0.5773502691896258
@@ -65,7 +66,7 @@ def test_counterexample_round_trip(capsys, tmp_path):
 
 
 def test_floats_round_trip_exactly(capsys, tmp_path):
-    # 17 significant digits reproduce the doubles bit for bit
+    # the shortest repr of a double reproduces it bit for bit
     path = write_mapping(tmp_path, "odd.json", [0.0, 1.0 / 3.0], [0.0])
     code, out, _ = run_cli(capsys, "beta", "--mapping", path)
     assert code == 0
@@ -299,3 +300,85 @@ def test_error_bad_family_parameter(capsys):
     code, _, err = run_cli(capsys, "beta", "--family-a", "2.5")
     assert code == 1
     assert "0 < a < 2" in err
+
+
+def test_json_hook_serializes_numpy_and_complex_values():
+    payload = {
+        "flag": np.bool_(True),
+        "count": np.int64(7),
+        "z": 0.25 - 1.5j,
+        "nz": np.complex128(complex(-0.0, 2.0)),
+        "arr": np.array([1.0 + 0.5j, -3.0j]),
+        "real_arr": np.array([0.1, np.float32(0.5)]),
+        "pair": (1, 2.5),
+        "nested": [np.float64(1.0 / 3.0), (np.int32(-2), None, "s")],
+    }
+    text = cli._render(cli.CommandResult("OK", payload))
+    back = json.loads(text)
+    assert back == {
+        "flag": True,
+        "count": 7,
+        "z": [0.25, -1.5],
+        "nz": [-0.0, 2.0],
+        "arr": [[1.0, 0.5], [0.0, -3.0]],
+        "real_arr": [0.1, 0.5],
+        "pair": [1, 2.5],
+        "nested": [1.0 / 3.0, [-2, None, "s"]],
+    }
+    assert back["flag"] is True and type(back["count"]) is int
+    assert str(back["nz"][0]) == "-0.0"
+    with pytest.raises(TypeError):
+        cli._render(cli.CommandResult("OK", {"x": object()}))
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-6"])
+@pytest.mark.parametrize("command", ["extreme-check", "lambda", "certify-support", "decompose"])
+def test_non_positive_or_non_finite_tol_is_rejected(capsys, command, tol):
+    code, out, err = run_cli(capsys, command, "--family-a", "1.0", f"--tol={tol}",
+                             "--samples", "16")
+    assert code == 1
+    assert out == ""
+    assert "tolerance" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_falsify_rejects_non_finite_tol(capsys, tmp_path, tol):
+    mpath = write_mapping(tmp_path, "id.json", [0.0, 1.0], [0.0])
+    fpath = write_functional(tmp_path, "L.json", [[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0]])
+    code, out, err = run_cli(capsys, "falsify", "--mapping", mpath,
+                             "--functional", fpath, f"--tol={tol}")
+    assert code == 1
+    assert out == ""
+    assert "tolerance" in err
+
+
+@pytest.mark.parametrize("delta0", ["nan", "inf", "0", "-0.5"])
+def test_sharpen_rejects_bad_radius(capsys, tmp_path, delta0):
+    path = write_mapping(tmp_path, "id.json", [0.0, 1.0], [0.0])
+    code, out, err = run_cli(capsys, "sharpen", "--mapping", path,
+                             "--z0", "0", f"--delta0={delta0}")
+    assert code == 1
+    assert out == ""
+    assert err.strip() == "delta0 must be a positive finite number"
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify-support", "--family-a", "1.0", "--samples", "0"],
+    ["bonk", "--m", "2.0", "--samples", "0"],
+], ids=["certify-support", "bonk"])
+def test_zero_samples_is_an_error_not_the_default(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "sample" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_non_finite_payload_is_a_one_line_error(capsys, tmp_path):
+    mpath = write_mapping(tmp_path, "huge.json", [0.0, 1e308], [0.0])
+    fpath = write_functional(tmp_path, "L.json", [[0.0, 0.0], [1e308, 0.0]], [[0.0, 0.0]])
+    code, out, err = run_cli(capsys, "functional", "--mapping", mpath, "--functional", fpath)
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "non-finite" in err

@@ -1,6 +1,7 @@
 """The certificate and level-set kernels against their plain reference forms.
 
 The vectorized kernels must return the same bits as the loops they replaced,
+the shared ``mu`` kernel the same bits as the per-caller copies it replaced,
 and the scalar Horner of ``eval_series`` the same bits as ``polyval_batch``:
 the pinned benchmark records compare ``sample_max_other`` exactly, so these
 tests use exact equality, never a tolerance.
@@ -17,7 +18,7 @@ from blochmap import (
     polyval_batch,
     support_certificate,
 )
-from blochmap import mapping, support
+from blochmap import differentiate, extremal, mapping, support
 from blochmap.optimize import compass_maximize, polar_grid
 
 IDENTITY = HarmonicMapping(AnalyticSeries([0.0, 1.0]), AnalyticSeries([0.0]))
@@ -170,7 +171,7 @@ def test_serial_matvec_every_chunk_size(columns):
 
 def family_level_points():
     # the converged, deduplicated maxima lambda_set clusters for a family member
-    values = mapping._derivative_values(FAMILY)
+    values = mapping._mu_values(FAMILY)
     grid = polar_grid(64, 128)
     gv = values(grid)
     seeds = np.union1d(np.flatnonzero(np.abs(gv - 1.0) <= 0.02), np.argsort(gv)[::-1][:8])
@@ -282,3 +283,139 @@ def test_family_call_matches_evaluate_many_bits():
     rng = np.random.default_rng(300)
     for z in scalar_points(rng):
         assert bits(FAMILY(z)) == bits(mapping._evaluate_many(FAMILY, np.array([z]))[0])
+
+
+# the per-caller copies the shared mu kernel replaced, kept as references
+
+def reference_derivative_values(f):
+    hp = differentiate(f.h).coefficients
+    gp = differentiate(f.g).coefficients
+
+    def values(z):
+        z = np.asarray(z, dtype=complex)
+        w = 1.0 - (z.real ** 2 + z.imag ** 2)
+        return w * (np.abs(polyval_batch(hp, z)) + np.abs(polyval_batch(gp, z)))
+
+    return values
+
+
+def reference_modulus_values(f):
+    hc = f.h.coefficients
+    gc = f.g.coefficients
+
+    def values(z):
+        z = np.asarray(z, dtype=complex)
+        w = 1.0 - (z.real ** 2 + z.imag ** 2)
+        return w * (np.abs(polyval_batch(hc, z)) + np.abs(polyval_batch(gc, z)))
+
+    return values
+
+
+def reference_weighted_derivative(f, pts):
+    hp = differentiate(f.h).coefficients
+    gp = differentiate(f.g).coefficients
+    w = 1.0 - (pts.real ** 2 + pts.imag ** 2)
+    deriv = np.abs(polyval_batch(hp, pts)) + np.abs(polyval_batch(gp, pts))
+    return deriv, w
+
+
+def reference_sharpening_margins(f, pts, z0, n):
+    deriv, w = reference_weighted_derivative(f, pts)
+    mob = np.abs((pts - z0) / (1.0 - np.conj(z0) * pts))
+    return 1.0 - (deriv + mob ** n) * w
+
+
+def reference_series_derivative_at(s, z0):
+    c = s.coefficients
+    if c.size <= 1:
+        return 0j
+    d = c[1:] * np.arange(1, c.size)
+    return complex(polyval_batch(d, np.array([z0]))[0])
+
+
+def reference_inner_disk_gap(f, radius):
+    grid = polar_grid(48, 96, r_max=radius)
+    inv = 1.0 / (1.0 - np.abs(grid) ** 2)
+    moduli = (np.abs(polyval_batch(f.h.coefficients, grid))
+              + np.abs(polyval_batch(f.g.coefficients, grid)) + mapping._tail_allowance(f))
+    return max(0.5 * float((inv - moduli).min()), 0.0)
+
+
+def array_bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def same_array_bits(a, b):
+    return a.shape == b.shape and np.array_equal(array_bits(a), array_bits(b))
+
+
+def kernel_mappings(degree, rng):
+    # pairs of the scalar test coefficients, plus a declared tail on both parts
+    cs = scalar_coefficients(degree, rng)
+    out = []
+    for ch, cg in zip(cs, cs[1:] + cs[:1]):
+        cg = cg.copy()
+        cg[0] = 0.0
+        out.append(HarmonicMapping(AnalyticSeries(ch), AnalyticSeries(cg)))
+    out.append(HarmonicMapping(AnalyticSeries(cs[0], 1e-3), AnalyticSeries(out[0].g.coefficients, 2e-3)))
+    return out
+
+
+def check_mu_kernel(f, pts):
+    got = mapping._mu_values(f)(pts)
+    assert same_array_bits(got, reference_derivative_values(f)(pts))
+    deriv, w = reference_weighted_derivative(f, pts)
+    # sharpening_exponent's neighbourhood test reads w * deriv where it read deriv * w
+    assert same_array_bits(got, deriv * w)
+    assert same_array_bits(mapping._abs_sum(differentiate(f.h).coefficients,
+                                            differentiate(f.g).coefficients, pts), deriv)
+    assert same_array_bits(mapping._disk_weight(pts), w)
+    modulus = mapping._weighted_abs_sum(f.h.coefficients, f.g.coefficients)
+    assert same_array_bits(modulus(pts), reference_modulus_values(f)(pts))
+    for z in pts:
+        assert bits(complex(mapping.mu(f, z))) == bits(complex(reference_derivative_values(f)(np.array([z]))[0]))
+        for s in (f.h, f.g):
+            assert bits(eval_series(differentiate(s), z)) == bits(reference_series_derivative_at(s, z))
+    for n in (1, 2, 5):
+        for z0 in (0j, pts[3], pts[-1]):
+            assert same_array_bits(extremal._sharpening_margins(f, pts, z0, n),
+                                   reference_sharpening_margins(f, pts, z0, n))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 8, 60, 140])
+def test_mu_kernel_matches_per_caller_copies(degree):
+    rng = np.random.default_rng(400 + degree)
+    pts = np.array(scalar_points(rng))
+    for f in kernel_mappings(degree, rng):
+        check_mu_kernel(f, pts)
+
+
+def test_mu_kernel_matches_on_family_member():
+    rng = np.random.default_rng(500)
+    pts = np.array(scalar_points(rng))
+    check_mu_kernel(FAMILY, pts)
+    check_mu_kernel(FAMILY, polar_grid(64, 128))
+
+
+def test_sharpening_margins_on_punctured_samples():
+    z0 = INV_SQRT3 * np.exp(0.4j)
+    for f, center in ((IDENTITY, 0j), (FAMILY, z0)):
+        pts = extremal._punctured_samples(center, 0.3, 48, 96)
+        for n in range(1, 9):
+            assert same_array_bits(extremal._sharpening_margins(f, pts, center, n),
+                                   reference_sharpening_margins(f, pts, center, n))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 8, 60, 140])
+def test_inner_disk_gap_matches_inline_form(degree):
+    rng = np.random.default_rng(600 + degree)
+    for f in kernel_mappings(degree, rng) + [IDENTITY, FAMILY]:
+        # near the modulus ball's boundary, so the gap is smallest off the origin
+        peak = reference_modulus_values(f)(polar_grid(48, 96)).max()
+        c = 0.9 / peak if peak > 0 else 1.0
+        f = HarmonicMapping(AnalyticSeries(c * f.h.coefficients, f.h.tail_bound),
+                            AnalyticSeries(c * f.g.coefficients, f.g.tail_bound))
+        for radius in (0.3, 0.9, 1.0 - 1e-9):
+            got = support._inner_disk_gap(f, radius)
+            want = reference_inner_disk_gap(f, radius)
+            assert bits(complex(got)) == bits(complex(want)), (radius,)

@@ -196,3 +196,10 @@ def test_membership_report_round_trip():
     d = membership(IDENTITY).to_dict()
     assert d["in_little_ball"] == "TRUE"
     assert isinstance(d["norm_value"], float)
+
+
+@pytest.mark.parametrize("delta0", [float("nan"), float("inf"), 0.0, -0.5],
+                         ids=["nan", "inf", "zero", "negative"])
+def test_sharpening_radius_must_be_positive_and_finite(delta0):
+    with pytest.raises(ValueError, match="delta0"):
+        sharpening_exponent(IDENTITY, 0.0, delta0)

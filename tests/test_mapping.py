@@ -280,3 +280,18 @@ def test_support_certificate_runs_one_search(monkeypatch):
     calls = count_searches(monkeypatch)
     support_certificate(fresh_identity(), 16, 0)
     assert len(calls) == 1
+
+
+BAD_TOLERANCES = [float("nan"), float("inf"), 0.0, -1e-6]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES, ids=["nan", "inf", "zero", "negative"])
+def test_level_set_tolerance_must_be_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        lambda_set(IDENTITY, tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        sup_modulus(IDENTITY, tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        extreme_necessity(counterexample_family(1.0), tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        support_certificate(IDENTITY, 8, 0, tol)

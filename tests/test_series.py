@@ -7,10 +7,7 @@ from blochmap import (
     dilate,
     eval_series,
     linear_combination,
-    multiply,
     polyval_batch,
-    scale,
-    sqrt_nonvanishing,
 )
 
 
@@ -99,34 +96,6 @@ def test_dilate_domain_and_tail():
         dilate(s, 1.5)
 
 
-def test_sqrt_reproduces_binomial_series():
-    # sqrt(1+z): coefficients binomial(1/2, k)
-    s = AnalyticSeries([1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-    r = sqrt_nonvanishing(s)
-    expected = [1.0, 0.5, -0.125, 0.0625, -0.0390625, 0.02734375]
-    assert np.allclose(r.coefficients, expected, atol=1e-14)
-
-
-def test_sqrt_squares_back():
-    rng = np.random.default_rng(3)
-    c = 0.1 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
-    c[0] = 1.0
-    s = AnalyticSeries(c)
-    r = sqrt_nonvanishing(s)
-    sq = multiply(r, r)
-    assert np.allclose(sq.coefficients[:8], c, atol=1e-12)
-
-
-def test_sqrt_requires_unit_constant_term():
-    with pytest.raises(ValueError):
-        sqrt_nonvanishing(AnalyticSeries([0.5, 1.0]))
-
-
-def test_sqrt_of_inexact_is_uncontrolled():
-    r = sqrt_nonvanishing(AnalyticSeries([1.0, 0.5], tail_bound=0.1))
-    assert r.tail_bound == np.inf
-
-
 def test_linear_combination_pads_exact_series():
     s = AnalyticSeries([1.0, 2.0])
     t = AnalyticSeries([0.0, 0.0, 3.0])
@@ -142,20 +111,6 @@ def test_linear_combination_truncates_with_tails():
     assert r.coefficients.size == 2
     # scaled tail of s plus the coefficient of t dropped by the truncation
     assert r.tail_bound == pytest.approx(2.0 * 0.5 + 1.0)
-
-
-def test_scale():
-    s = AnalyticSeries([1.0, -2.0], tail_bound=0.5)
-    r = scale(s, -2.0j)
-    assert np.allclose(r.coefficients, [-2.0j, 4.0j])
-    assert r.tail_bound == pytest.approx(1.0)
-
-
-def test_multiply_exact_convolution():
-    s = AnalyticSeries([1.0, 1.0])
-    r = multiply(s, s)
-    assert np.allclose(r.coefficients, [1.0, 2.0, 1.0])
-    assert r.is_exact
 
 
 def test_evaluation_consistency_random():
