@@ -4,6 +4,7 @@ CSV for grid dumps) with reproducible seeds and script-friendly exit codes."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -25,7 +26,6 @@ from .extremal import (
     membership,
     midpoint_check,
     sharpening_exponent,
-    verify_sharpening,
 )
 from .support import (
     FalsifierStatus,
@@ -73,10 +73,10 @@ def _json_default(v):
 
 
 def _render_csv(payload: dict) -> str:
-    lines = [",".join(payload["header"])]
-    for row in payload["rows"]:
-        lines.append(",".join(format(float(x), ".17g") for x in row))
-    return "\n".join(lines)
+    # one %-format per row: "%.17g" writes the same text as format(x, ".17g")
+    row_format = ",".join(["%.17g"] * len(payload["header"]))
+    rows = np.asarray(payload["rows"], dtype=float).tolist()
+    return "\n".join([",".join(payload["header"])] + [row_format % tuple(r) for r in rows])
 
 
 def _render(result: CommandResult) -> str:
@@ -194,9 +194,8 @@ def _cmd_sharpen(args) -> CommandResult:
     if result is None:
         return CommandResult("FLAGGED", {"status": "NOT_FOUND"},
                              ["no exponent up to n-max closed the bound; input flagged for review"])
-    verified = verify_sharpening(f, result)
-    payload = {"status": "FOUND", **result.to_dict(), "verified_margin": verified}
-    if verified <= 0.0:
+    payload = {"status": "FOUND", **result.to_dict()}
+    if result.verified_margin <= 0.0:
         return CommandResult("FLAGGED", payload,
                              ["independent grid re-check lost the positive margin"])
     return CommandResult("OK", payload)
@@ -276,7 +275,9 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process: parse_args reads the parser and never changes it
     common = _Parser(add_help=False)
     common.add_argument("--mapping", metavar="FILE",
                         help="mapping spec JSON with h/g coefficient lists")
@@ -330,17 +331,20 @@ def _build_parser() -> _Parser:
 
 
 def run(argv) -> CommandResult:
-    """Parse arguments, execute one subcommand and render its payload; never
-    raises for user errors, which come back as ERROR results with a
-    diagnostic.  A payload that cannot be rendered (a non-finite number) is
-    such an error too."""
-    parser = _build_parser()
+    """Parse arguments, execute one subcommand, render its payload and write
+    it to ``--out`` if given; never raises for user errors, which come back
+    as ERROR results with a diagnostic.  A payload that cannot be rendered (a
+    non-finite number) or an ``--out`` file that cannot be written is such
+    an error too."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         result = _HANDLERS[args.command](args)
         result.out_path = args.out
         if result.payload is not None:
             result.text = _render(result)
+            if result.out_path:
+                with open(result.out_path, "w", encoding="utf-8") as fh:
+                    fh.write(result.text + "\n")
         return result
     except (_ArgumentError, ValueError, RuntimeError, OSError) as exc:
         return CommandResult("ERROR", None, [str(exc)])
@@ -352,15 +356,11 @@ def main(argv=None) -> int:
         result.diagnostics = ["unspecified error"]
     for line in result.diagnostics:
         print(line, file=sys.stderr)
-    if result.text is not None:
-        if result.out_path:
-            with open(result.out_path, "w", encoding="utf-8") as fh:
-                fh.write(result.text + "\n")
-        else:
-            try:
-                print(result.text)
-            except BrokenPipeError:
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    if result.text is not None and not result.out_path:
+        try:
+            print(result.text)
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_CODES[result.status]
 
 

@@ -266,12 +266,17 @@ def extreme_necessity(f: HarmonicMapping, tol: float = 1e-6) -> ExtremeNecessity
 class SharpeningResult:
     """Witness (n, delta) for the sharpened bound
     (|h'| + |g'| + |m(z)|^n)(1 - |z|^2) < 1 on a punctured disk around the
-    center, where m is the Mobius factor (z - z0)/(1 - conj(z0) z)."""
+    center, where m is the Mobius factor (z - z0)/(1 - conj(z0) z).
+
+    ``verified_margin`` is the minimal margin on the dense offset grid of
+    ``verify_sharpening`` that accepted the witness; it is NaN on a witness
+    that has not been through that check."""
 
     exponent_n: int
     delta: float
     worst_margin: float
     center: complex
+    verified_margin: float = math.nan
 
     def to_dict(self) -> dict:
         return {
@@ -279,6 +284,7 @@ class SharpeningResult:
             "delta": self.delta,
             "worst_margin": self.worst_margin,
             "center": [self.center.real, self.center.imag],
+            "verified_margin": self.verified_margin,
         }
 
 
@@ -287,7 +293,10 @@ def _punctured_samples(z0: complex, delta: float, n_radii: int, n_angles: int,
     radii = np.geomspace(delta * 1e-2, delta * (1.0 - 1e-9), n_radii)
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles + angle_offset
     pts = (z0 + radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-    pts = pts[np.abs(pts) <= 1.0 - 1e-9]
+    # |pt| <= |z0| + |delta|, so when that sum clears the cap by 1e-9 (far
+    # above rounding) the mask cannot drop a point; NaN input takes the mask
+    if not abs(z0) + abs(delta) <= 1.0 - 2e-9:
+        pts = pts[np.abs(pts) <= 1.0 - 1e-9]
     if pts.size == 0:
         raise ValueError("punctured neighborhood does not meet the open disk")
     return pts
@@ -315,8 +324,9 @@ def sharpening_exponent(f: HarmonicMapping, z0, delta0: float, n_max: int = 8,
     that works for some n <= n_max.  A candidate found on the coarse grid is
     only accepted after a dense offset grid confirms its margin above the
     noise floor; this rejects spurious witnesses at centers where the unit
-    level set is a curve through the neighborhood.  Returns None when the
-    sweep is exhausted.
+    level set is a curve through the neighborhood.  The accepted witness
+    carries that confirmed margin as ``verified_margin``.  Returns None when
+    the sweep is exhausted.
     """
     z0 = complex(z0)
     delta0 = float(delta0)
@@ -338,7 +348,7 @@ def sharpening_exponent(f: HarmonicMapping, z0, delta0: float, n_max: int = 8,
             candidate = SharpeningResult(n, delta, worst, z0)
             confirmed = verify_sharpening(f, candidate)
             if confirmed > MARGIN_FLOOR:
-                return SharpeningResult(n, delta, min(worst, confirmed), z0)
+                return SharpeningResult(n, delta, min(worst, confirmed), z0, confirmed)
         delta *= 0.5
     return None
 

@@ -123,14 +123,21 @@ def dilate(s: AnalyticSeries, epsilon: float) -> AnalyticSeries:
 
 
 def _combined_order(s: AnalyticSeries, t: AnalyticSeries) -> int:
-    # exact polynomials combine exactly; a declared tail caps the usable order
-    if s.is_exact and t.is_exact:
-        return max(s.truncation_order, t.truncation_order)
-    return min(s.truncation_order, t.truncation_order)
+    # exact polynomials pad with zeros; a declared tail caps the usable order
+    tailed = [u.truncation_order for u in (s, t) if not u.is_exact]
+    if tailed:
+        return min(tailed)
+    return max(s.truncation_order, t.truncation_order)
 
 
 def linear_combination(alpha, s: AnalyticSeries, beta, t: AnalyticSeries) -> AnalyticSeries:
-    """alpha*s + beta*t, padding exact polynomials and truncating declared tails."""
+    """alpha*s + beta*t.
+
+    An exact polynomial is padded with zeros to its partner's order, so
+    combining a tailed series with an exact one keeps every coefficient the
+    tailed series carries.  A declared tail caps the order: the result stops
+    at the lowest order of a tailed input, and coefficients beyond it join
+    the declared tail."""
     order = _combined_order(s, t)
     out = np.zeros(order + 1, dtype=complex)
     cs = s.coefficients[: order + 1]

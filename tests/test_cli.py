@@ -252,6 +252,19 @@ def test_output_file_option(capsys, tmp_path):
     assert abs(json.loads(out_path.read_text())["beta"] - 1.0) <= 1e-8
 
 
+@pytest.mark.parametrize("command", [["beta", "--family-a", "1.0"],
+                                     ["mu-grid", "--family-a", "1.0", "--grid", "2x4"]],
+                         ids=["json", "csv"])
+def test_unwritable_output_file_is_a_one_line_error(capsys, tmp_path, command):
+    out_path = tmp_path / "missing" / "report.out"
+    code, out, err = run_cli(capsys, *command, "--out", str(out_path))
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert str(out_path) in err
+    assert not out_path.parent.exists()
+
+
 def test_error_unknown_command(capsys):
     code, out, err = run_cli(capsys, "frobnicate")
     assert code == 1

@@ -7,6 +7,8 @@ the pinned benchmark records compare ``sample_max_other`` exactly, so these
 tests use exact equality, never a tolerance.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,10 @@ from blochmap import (
     counterexample_family,
     eval_series,
     polyval_batch,
+    save_mapping,
     support_certificate,
 )
-from blochmap import differentiate, extremal, mapping, support
+from blochmap import cli, differentiate, extremal, mapping, support
 from blochmap.optimize import compass_maximize, polar_grid
 
 IDENTITY = HarmonicMapping(AnalyticSeries([0.0, 1.0]), AnalyticSeries([0.0]))
@@ -419,3 +422,124 @@ def test_inner_disk_gap_matches_inline_form(degree):
             got = support._inner_disk_gap(f, radius)
             want = reference_inner_disk_gap(f, radius)
             assert bits(complex(got)) == bits(complex(want)), (radius,)
+
+
+# the CLI's per-float CSV renderer, kept as the reference for the row-wise one
+
+def reference_render_csv(payload):
+    lines = [",".join(payload["header"])]
+    for row in payload["rows"]:
+        lines.append(",".join(format(float(x), ".17g") for x in row))
+    return "\n".join(lines)
+
+
+def csv_payload(rows):
+    return {"header": ["re", "im", "mu"], "rows": rows}
+
+
+def test_csv_renderer_matches_per_float_form_on_mu_grids():
+    rng = np.random.default_rng(700)
+    poly60 = HarmonicMapping(
+        AnalyticSeries(0.02 * (rng.standard_normal(61) + 1j * rng.standard_normal(61))),
+        AnalyticSeries(np.r_[0.0, 0.02 * (rng.standard_normal(60) + 1j * rng.standard_normal(60))]))
+    for f in (poly60, FAMILY, IDENTITY):
+        for r, t in ((64, 128), (5, 7)):
+            payload = csv_payload(mapping.mu_grid_rows(f, r, t))
+            assert cli._render_csv(payload) == reference_render_csv(payload)
+
+
+def test_csv_renderer_matches_per_float_form_on_edge_values():
+    edge = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+            0.1, float(2 ** 53 + 1), float("nan"), float("inf"), float("-inf"), 1.0, 1e16, 1e-5]
+    rows = np.array([edge[i:i + 3] for i in range(len(edge) - 2)])
+    rendered = cli._render_csv(csv_payload(rows))
+    assert rendered == reference_render_csv(csv_payload(rows))
+    assert "-0,0,4.9406564584124654e-324" in rendered
+    assert "nan,inf,-inf" in rendered
+    assert cli._render_csv(csv_payload(np.zeros((0, 3)))) == "re,im,mu"
+
+
+def test_cli_sharpen_runs_one_dense_check(monkeypatch, capsys, tmp_path):
+    calls = []
+    dense = extremal.verify_sharpening
+
+    def counting(f, result, *args, **kwargs):
+        calls.append(result)
+        return dense(f, result, *args, **kwargs)
+
+    # also where the CLI would hold its own reference to the check
+    monkeypatch.setattr(extremal, "verify_sharpening", counting)
+    monkeypatch.setattr(cli, "verify_sharpening", counting, raising=False)
+    path = str(tmp_path / "id.json")
+    save_mapping(IDENTITY, path)
+    assert cli.main(["sharpen", "--mapping", path, "--z0", "0", "--delta0", "0.9"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "FOUND"
+    assert len(calls) == 1
+    witness = extremal.SharpeningResult(payload["n"], payload["delta"], payload["worst_margin"],
+                                        complex(*payload["center"]))
+    fresh = dense(IDENTITY, witness)
+    assert fresh > 0.0
+    assert bits(complex(payload["verified_margin"])) == bits(complex(fresh))
+
+
+def test_sharpening_result_carries_the_dense_margin():
+    for f, delta0 in ((IDENTITY, 0.9), (IDENTITY, 0.3), (CO_IDENTITY, 0.6)):
+        res = extremal.sharpening_exponent(f, 0j, delta0)
+        assert res.verified_margin > extremal.MARGIN_FLOOR
+        assert bits(complex(res.verified_margin)) == bits(complex(extremal.verify_sharpening(f, res)))
+        assert res.to_dict()["verified_margin"] == res.verified_margin
+    assert np.isnan(extremal.SharpeningResult(2, 0.5, 0.1, 0j).verified_margin)
+
+
+def test_cached_parser_carries_no_state(monkeypatch, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    grids = []
+    beta = cli.estimate_bloch_constant
+
+    def recording(f, **kwargs):
+        grids.append(kwargs)
+        return beta(f, **kwargs)
+
+    monkeypatch.setattr(cli, "estimate_bloch_constant", recording)
+    assert cli.main(["mu-grid", "--family-a", "1.0", "--grid", "4x8"]) == 0
+    assert cli.main(["beta", "--family-a", "1.0", "--grid", "4x8"]) == 0
+    assert cli.main(["beta", "--family-a", "1.0"]) == 0
+    assert grids == [{"n_radii": 4, "n_angles": 8}, {}]
+    capsys.readouterr()
+    assert cli.main(["certify-support", "--family-a", "1.0", "--samples", "3"]) == 0
+    capsys.readouterr()
+    assert cli.main(["bonk", "--m", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["verification_samples"] == 100000
+
+
+def reference_punctured_samples(z0, delta, n_radii, n_angles, angle_offset=0.0):
+    # always applies the boundary mask
+    radii = np.geomspace(delta * 1e-2, delta * (1.0 - 1e-9), n_radii)
+    angles = 2.0 * np.pi * np.arange(n_angles) / n_angles + angle_offset
+    pts = (z0 + radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+    return pts[np.abs(pts) <= 1.0 - 1e-9]
+
+
+@pytest.mark.parametrize("z0,delta,kept_all", [
+    (0j, 0.9, True),
+    (0.3 + 0.2j, 0.5, True),
+    (0.5, 0.5 - 3e-9, True),          # just inside the skip threshold
+    (0.5, 0.5 - 1e-9, True),          # just outside it: masked, nothing dropped
+    (0.5, 0.5 - 1e-10, False),        # outside it: the mask drops points
+    (0.9, 0.2, False),
+    (0.7j, 0.5, False),
+    (-0.99, 0.05, False),
+])
+def test_punctured_samples_skip_mask_only_when_nothing_drops(z0, delta, kept_all):
+    for n_radii, n_angles, offset in ((48, 96, 0.0), (1000, 1000, np.pi / 2000.0)):
+        got = extremal._punctured_samples(z0, delta, n_radii, n_angles, offset)
+        want = reference_punctured_samples(z0, delta, n_radii, n_angles, offset)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # whether the boundary mask drops points of the coarse grid
+    assert (extremal._punctured_samples(z0, delta, 48, 96).size == 48 * 96) is kept_all
+
+
+def test_punctured_samples_reject_non_finite_radius():
+    with pytest.raises(ValueError, match="open disk"):
+        extremal._punctured_samples(0j, float("nan"), 4, 8)

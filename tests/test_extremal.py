@@ -10,6 +10,7 @@ from blochmap import (
     bloch_norm,
     coefficient_conditions,
     counterexample_family,
+    estimate_bloch_constant,
     extreme_necessity,
     membership,
     midpoint_check,
@@ -72,6 +73,22 @@ def test_rotation_normalize_makes_derivatives_real():
     assert r.h.coefficients[1].real > 0
     assert r.g.coefficients[1].imag == pytest.approx(0.0, abs=1e-15)
     assert r.g.coefficients[1].real > 0
+
+
+def test_rotation_normalize_keeps_tailed_coefficients():
+    f = HarmonicMapping(
+        AnalyticSeries([0.0, 1j, 0.5], 1e-3),
+        AnalyticSeries([0.0, -1.0, 0.25j], 2e-3),
+    )
+    r = rotation_normalize(f)
+    assert r.h.coefficients.size == r.g.coefficients.size == 3
+    assert r.h.coefficients[1] == pytest.approx(1.0, abs=1e-15)
+    assert r.g.coefficients[1] == pytest.approx(1.0, abs=1e-15)
+    assert np.allclose(np.abs(r.h.coefficients), np.abs(f.h.coefficients), rtol=0, atol=1e-15)
+    assert np.allclose(np.abs(r.g.coefficients), np.abs(f.g.coefficients), rtol=0, atol=1e-15)
+    assert (r.h.tail_bound, r.g.tail_bound) == pytest.approx((1e-3, 2e-3))
+    assert estimate_bloch_constant(r).value == pytest.approx(
+        estimate_bloch_constant(f).value, rel=1e-12)
 
 
 def test_coefficient_conditions_family_passes():

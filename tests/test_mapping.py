@@ -81,6 +81,19 @@ def test_bloch_constant_scaling_law():
     assert bloch_constant(scale_mapping(f, 2.5)) == pytest.approx(2.5 * b, abs=1e-9)
 
 
+def test_scale_mapping_keeps_tailed_coefficients():
+    f = HarmonicMapping(AnalyticSeries([0.0, 0.5, 0.1], 1e-3), AnalyticSeries([0.0]))
+    scaled = scale_mapping(f, 2.0)
+    assert np.array_equal(scaled.h.coefficients, [0.0, 1.0, 0.2])
+    assert scaled.h.tail_bound == pytest.approx(2e-3)
+    assert scaled.g.tail_bound is None
+    # scaling by two is exact, so beta doubles exactly; it read 0 when the
+    # tailed h collapsed to its constant term
+    beta = estimate_bloch_constant(f).value
+    assert beta == pytest.approx(0.5186, abs=1e-4)
+    assert estimate_bloch_constant(scaled).value == 2.0 * beta
+
+
 def test_bloch_norm_adds_origin_value():
     f = HarmonicMapping(AnalyticSeries([0.25, 1.0]), AnalyticSeries([0.0]))
     assert bloch_norm(f) == pytest.approx(1.25, abs=1e-8)

@@ -113,6 +113,26 @@ def test_linear_combination_truncates_with_tails():
     assert r.tail_bound == pytest.approx(2.0 * 0.5 + 1.0)
 
 
+def test_linear_combination_pads_exact_partner_of_tailed_series():
+    # combining with the exact constant zero keeps every tailed coefficient
+    s = AnalyticSeries([0.0, 0.5, 0.1], tail_bound=1e-3)
+    r = linear_combination(2.0, s, 0.0, AnalyticSeries([0.0]))
+    assert np.array_equal(r.coefficients, [0.0, 1.0, 0.2])
+    assert r.tail_bound == pytest.approx(2e-3)
+    r = linear_combination(1.0, AnalyticSeries([3.0]), 1.0, s)
+    assert np.array_equal(r.coefficients, [3.0, 0.5, 0.1])
+    assert r.tail_bound == pytest.approx(1e-3)
+
+
+def test_linear_combination_two_tails_cap_at_lower_order():
+    s = AnalyticSeries([1.0, 2.0, 4.0], tail_bound=0.25)
+    t = AnalyticSeries([1.0, 1.0], tail_bound=0.5)
+    r = linear_combination(1.0, s, 1.0, t)
+    assert np.array_equal(r.coefficients, [2.0, 3.0])
+    # both tails plus the coefficient of s beyond the lower order
+    assert r.tail_bound == pytest.approx(0.25 + 0.5 + 4.0)
+
+
 def test_evaluation_consistency_random():
     rng = np.random.default_rng(11)
     for _ in range(20):
