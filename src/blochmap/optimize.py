@@ -9,6 +9,7 @@ combine by max-reduction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,12 +20,28 @@ __all__ = ["polar_grid", "compass_maximize", "maximize_on_disk", "MaximizationRe
 DISK_RADIUS_CAP = 1.0 - 1e-9
 
 
+# While at most this many walkers are active, one objective call carries two
+# compass iterations; the beta searches run about 20 walkers, level-set and
+# certificate sweeps hundreds to thousands, where a call costs more than its
+# overhead and the sixfold lookahead would not pay.
+LOOKAHEAD_WALKERS = 64
+
+_OFFSETS = np.array([1.0, -1.0, 1j, -1j])
+_BLOCK_STARTS = 4 * np.arange(6)[:, None]
+
+
+@functools.lru_cache(maxsize=32)
 def polar_grid(n_radii=64, n_angles=128, r_max=DISK_RADIUS_CAP) -> np.ndarray:
-    """The origin plus n_radii rings of n_angles points each."""
+    """The origin plus n_radii rings of n_angles points each.
+
+    Grids are cached, so the array is read-only; copy it to modify it.
+    """
     radii = np.linspace(0.0, r_max, n_radii + 1)[1:]
     angles = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
     rings = radii[:, None] * np.exp(1j * angles)[None, :]
-    return np.concatenate(([0.0 + 0.0j], rings.ravel()))
+    grid = np.concatenate(([0.0 + 0.0j], rings.ravel()))
+    grid.setflags(write=False)
+    return grid
 
 
 def compass_maximize(evaluate, starts, initial_step, *, step_tol=1e-10,
@@ -33,30 +50,81 @@ def compass_maximize(evaluate, starts, initial_step, *, step_tol=1e-10,
 
     ``evaluate(z, walkers)`` takes a complex array and, when ``walkers`` is
     given, an equally shaped integer array routing each entry to its own
-    objective (used to refine many mappings in one sweep).  A walker whose
-    step has shrunk below ``step_tol`` is frozen.
+    objective (used to refine many mappings in one sweep).  Each iteration
+    moves a walker to the best of its four compass candidates when that
+    beats its value and halves its step otherwise.  A walker whose step has
+    shrunk below ``step_tol`` is frozen; every walker stops after
+    ``max_iter`` iterations.
+
+    Only comparisons of values decide, so while at most
+    ``LOOKAHEAD_WALKERS`` walkers are active one call evaluates every point
+    the next two iterations can visit (the four candidates, the four that
+    follow a halving and the sixteen that follow each possible move) and
+    applies both.  Each point is built by the expression a single iteration
+    would use, so the walks are the same to the last bit.  This relies on
+    ``evaluate`` being pure and pointwise: a point's value may not depend on
+    the other points of the same call, and ``evaluate`` may be called on
+    speculative points the walk never visits, inside or outside ``r_max``.
+    The in-tree objectives meet this; each is an elementwise Horner
+    evaluation: ``mapping._weighted_abs_sum``, which ``maximize_on_disk``,
+    the level-set search of ``lambda_set`` and ``sup_modulus`` and the
+    touching-point refinement of ``support_certificate`` maximize, and the
+    routed ``mu_rows`` of ``support._batch_beta``.
     """
     z = np.array(starts, dtype=complex)
     walkers = None if walkers is None else np.asarray(walkers)
     v = evaluate(z, walkers)
     step = np.full(z.size, float(initial_step))
-    offsets = np.array([1.0, -1.0, 1j, -1j])
-    for _ in range(max_iter):
-        act = np.flatnonzero(step > step_tol)
-        if act.size == 0:
-            break
-        zc = z[act][None, :] + offsets[:, None] * step[act][None, :]
-        wk = None if walkers is None else np.tile(walkers[act], offsets.size)
-        vc = evaluate(zc.ravel(), wk).reshape(offsets.size, act.size)
-        vc[np.abs(zc) > r_max] = -np.inf
-        pick = vc.argmax(axis=0)
-        cols = np.arange(act.size)
-        best = vc[pick, cols]
-        improved = best > v[act]
-        moved = act[improved]
-        z[moved] = zc[pick[improved], cols[improved]]
-        v[moved] = best[improved]
-        step[act[~improved]] *= 0.5
+    # the active walkers, compacted; each is written back before it is dropped
+    idx = np.flatnonzero(step > step_tol)
+    za, va, sa = z[idx], v[idx], step[idx]
+    wa = None if walkers is None else walkers[idx]
+    columns = np.arange(idx.size)
+    every = columns
+    # the walkers run in lockstep, so this counts each active walker's iterations
+    done = 0
+    while done < max_iter and idx.size:
+        n = idx.size
+        moves = _OFFSETS[:, None] * sa[None, :]
+        two = n <= LOOKAHEAD_WALKERS and done + 1 < max_iter
+        if two:
+            # block 0 (rows 0-3) holds the candidates, block 1 those that
+            # follow a halving and block 2+k those that follow a move to
+            # candidate k
+            pts = np.empty((24, n), dtype=complex)
+            np.add(za[None, :], moves, out=pts[:4])
+            np.add(za[None, :], _OFFSETS[:, None] * (sa * 0.5)[None, :], out=pts[4:8])
+            np.add(pts[:4, None, :], moves[None, :, :], out=pts[8:].reshape(4, 4, n))
+        else:
+            pts = za[None, :] + moves
+        wk = None if wa is None else np.tile(wa, pts.shape[0])
+        vals = evaluate(pts.ravel(), wk).reshape(pts.shape)
+        vals[np.abs(pts) > r_max] = -np.inf
+        # each block's best row and value
+        pick = vals.reshape(-1, 4, n).argmax(axis=1)
+        rows = _BLOCK_STARTS[:pick.shape[0]] + pick
+        best = vals[rows, every]
+        moved = best[0] > va
+        np.copyto(za, pts[pick[0], every], where=moved)
+        np.copyto(va, best[0], where=moved)
+        np.multiply(sa, 0.5, out=sa, where=~moved)
+        done += 1
+        if two:
+            block = np.where(moved, pick[0] + 2, 1)
+            second = best[block, every]
+            # a walker frozen by the first iteration stays where it is
+            moved = (second > va) & (sa > step_tol)
+            np.copyto(za, pts[rows[block, every], every], where=moved)
+            np.copyto(va, second, where=moved)
+            np.multiply(sa, 0.5, out=sa, where=~moved)
+            done += 1
+        live = sa > step_tol
+        if np.count_nonzero(live) < n:
+            z[idx], v[idx] = za, va
+            idx, za, va, sa = idx[live], za[live], va[live], sa[live]
+            wa = None if wa is None else wa[live]
+            every = columns[:idx.size]
+    z[idx], v[idx] = za, va
     return z, v
 
 

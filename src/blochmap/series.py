@@ -67,7 +67,8 @@ def polyval_batch(coefficients, z):
     """
     c = np.asarray(coefficients, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    out = np.broadcast_to(c[..., -1], z.shape).copy()
+    out = np.empty(z.shape, dtype=complex)
+    out[...] = c[..., -1]
     for k in range(c.shape[-1] - 2, -1, -1):
         out *= z
         out += c[..., k]

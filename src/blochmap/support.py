@@ -610,7 +610,8 @@ def _monomial_modulus_peak(k0: int) -> float:
 def _inner_disk_gap(f: HarmonicMapping, radius: float) -> float:
     """Half the smallest gap of 1/(1-|z|^2) - (|h|+|g|) on the disk |z| <= radius,
     floored at zero; the declared tails count against the gap."""
-    grid = polar_grid(48, 96, r_max=radius)
+    # the radius differs from call to call, so the grid stays out of the cache
+    grid = polar_grid.__wrapped__(48, 96, r_max=radius)
     inv = 1.0 / (1.0 - np.abs(grid) ** 2)
     moduli = _abs_sum(f.h.coefficients, f.g.coefficients, grid) + _tail_allowance(f)
     return max(0.5 * float((inv - moduli).min()), 0.0)

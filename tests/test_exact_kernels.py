@@ -2,12 +2,15 @@
 
 The vectorized kernels must return the same bits as the loops they replaced,
 the shared ``mu`` kernel the same bits as the per-caller copies it replaced,
-and the scalar Horner of ``eval_series`` the same bits as ``polyval_batch``:
-the pinned benchmark records compare ``sample_max_other`` exactly, so these
-tests use exact equality, never a tolerance.
+the two-iterations-per-call compass search the same walks as the one
+iteration per call it replaced, and the scalar Horner of ``eval_series`` the
+same bits as ``polyval_batch``: the pinned benchmark records compare
+``sample_max_other`` exactly, so these tests use exact equality, never a
+tolerance.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,13 +24,40 @@ from blochmap import (
     save_mapping,
     support_certificate,
 )
-from blochmap import cli, differentiate, extremal, mapping, support
-from blochmap.optimize import compass_maximize, polar_grid
+from blochmap import cli, differentiate, extremal, mapping, optimize, support
+from blochmap.optimize import DISK_RADIUS_CAP, compass_maximize, polar_grid
 
 IDENTITY = HarmonicMapping(AnalyticSeries([0.0, 1.0]), AnalyticSeries([0.0]))
 CO_IDENTITY = HarmonicMapping(AnalyticSeries([0.0]), AnalyticSeries([0.0, 1.0]))
 FAMILY = counterexample_family(0.75)
 INV_SQRT3 = 0.5773502691896258
+
+
+def reference_compass_maximize(evaluate, starts, initial_step, *, step_tol=1e-10,
+                               r_max=DISK_RADIUS_CAP, max_iter=3000, walkers=None):
+    # one iteration per objective call over the uncompacted walkers
+    z = np.array(starts, dtype=complex)
+    walkers = None if walkers is None else np.asarray(walkers)
+    v = evaluate(z, walkers)
+    step = np.full(z.size, float(initial_step))
+    offsets = np.array([1.0, -1.0, 1j, -1j])
+    for _ in range(max_iter):
+        act = np.flatnonzero(step > step_tol)
+        if act.size == 0:
+            break
+        zc = z[act][None, :] + offsets[:, None] * step[act][None, :]
+        wk = None if walkers is None else np.tile(walkers[act], offsets.size)
+        vc = evaluate(zc.ravel(), wk).reshape(offsets.size, act.size)
+        vc[np.abs(zc) > r_max] = -np.inf
+        pick = vc.argmax(axis=0)
+        cols = np.arange(act.size)
+        best = vc[pick, cols]
+        improved = best > v[act]
+        moved = act[improved]
+        z[moved] = zc[pick[improved], cols[improved]]
+        v[moved] = best[improved]
+        step[act[~improved]] *= 0.5
+    return z, v
 
 
 def reference_batch_beta(h_rows, g_rows, z0, rng, step_tol=1e-9):
@@ -54,8 +84,8 @@ def reference_batch_beta(h_rows, g_rows, z0, rng, step_tol=1e-9):
     extra = rng.uniform(0.05, 0.9, n) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
     starts = np.concatenate([np.full(n, complex(z0)), best, extra])
     walkers = np.tile(np.arange(n), 3)
-    _, vals = compass_maximize(mu_rows, starts, 0.1, step_tol=step_tol,
-                               max_iter=400, walkers=walkers)
+    _, vals = reference_compass_maximize(mu_rows, starts, 0.1, step_tol=step_tol,
+                                         max_iter=400, walkers=walkers)
     return vals.reshape(3, n).max(axis=0)
 
 
@@ -103,7 +133,8 @@ def family_chunk():
     return h, g, np.array(labels), z0
 
 
-@pytest.mark.parametrize("size", [1, 16, 77, 128, 512])
+# 3 * size walkers: 63 and 66 sit on both sides of the lookahead switch
+@pytest.mark.parametrize("size", [1, 16, 21, 22, 77, 128, 512])
 def test_batch_beta_matches_reference_across_strata(family_chunk, size):
     h, g, labels, z0 = family_chunk
     rng = np.random.default_rng(size)
@@ -543,3 +574,315 @@ def test_punctured_samples_skip_mask_only_when_nothing_drops(z0, delta, kept_all
 def test_punctured_samples_reject_non_finite_radius():
     with pytest.raises(ValueError, match="open disk"):
         extremal._punctured_samples(0j, float("nan"), 4, 8)
+
+
+# the compass search one iteration per call, today's distance-block linkage,
+# the diameter test without its lower bound, the copying Horner fill and the
+# uncached polar grid, kept as references
+
+def raw_bits(a):
+    # both parts of a complex array, so signed zeros and every last bit count
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def same_raw_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(raw_bits(a), raw_bits(b))
+
+
+def counted(values):
+    calls = []
+
+    def evaluate(z, walkers):
+        calls.append(z.size)
+        return values(z)
+
+    return evaluate, calls
+
+
+def check_same_walk(values, starts, initial_step, **kwargs):
+    got_ev, got_calls = counted(values)
+    want_ev, want_calls = counted(values)
+    got = compass_maximize(got_ev, starts, initial_step, **kwargs)
+    want = reference_compass_maximize(want_ev, starts, initial_step, **kwargs)
+    assert same_raw_bits(got[0], want[0]) and same_raw_bits(got[1], want[1])
+    return got_calls, want_calls
+
+
+def disk_starts(n, r, seed):
+    rng = np.random.default_rng(seed)
+    return r * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 400])
+@pytest.mark.parametrize("walkers", [1, 20, 63, 64, 65, 384])
+def test_compass_matches_one_iteration_per_call(walkers, max_iter):
+    values = mapping._mu_values(FAMILY)
+    got, want = check_same_walk(values, disk_starts(walkers, 0.95, walkers), 0.05,
+                                max_iter=max_iter)
+    if walkers <= optimize.LOOKAHEAD_WALKERS:
+        # two iterations per call after the one that evaluates the starts
+        assert len(got) - 1 == -(-(len(want) - 1) // 2)
+        assert got[1] == (24 if max_iter > 1 else 4) * walkers
+        assert all(size % 24 == 0 for size in got[1:-1])
+    else:
+        assert got[1] == 4 * walkers
+
+
+def test_compass_matches_on_level_set_seeds():
+    # lambda_set's sweep: thousands of walkers, one iteration per call until
+    # at most LOOKAHEAD_WALKERS remain active
+    values = mapping._mu_values(FAMILY)
+    grid = polar_grid(64, 128)
+    gv = values(grid)
+    seeds = np.union1d(np.flatnonzero(np.abs(gv - 1.0) <= 0.02), np.argsort(gv)[::-1][:8])
+    assert seeds.size > 4 * optimize.LOOKAHEAD_WALKERS
+    got, want = check_same_walk(values, grid[seeds], 2.0 * np.pi / 128)
+    assert len(got) < len(want)
+
+
+@pytest.mark.parametrize("max_iter", [1, 3, 400])
+def test_compass_masks_candidates_beyond_r_max(max_iter):
+    # starts within one step of r_max on an objective growing outward
+    step = 0.01
+    angles = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False) + 0.1
+    starts = np.r_[(DISK_RADIUS_CAP - 0.6 * step) * np.exp(1j * angles), 0.99, -0.99j]
+    # |z|, and (1 - |z|^2) |z|^3, which peaks inside at |z| = sqrt(3/5)
+    values = mapping._weighted_abs_sum(np.array([0.0, 0.0, 0.0, 1.0]), np.array([0.0]))
+    for f in (np.abs, values):
+        check_same_walk(f, starts, step, max_iter=max_iter)
+    z, _ = compass_maximize(lambda z, _w: np.abs(z), starts, step, max_iter=max_iter)
+    assert np.abs(z).max() <= DISK_RADIUS_CAP
+
+
+def test_compass_ties_go_to_the_first_candidate():
+    starts = disk_starts(30, 0.8, 1)
+    check_same_walk(lambda z: np.ones(z.shape), starts, 0.1)
+    # plateaus: several candidates share the best value
+    check_same_walk(lambda z: -np.round(np.abs(z - 0.2), 1), starts, 0.1)
+
+
+def test_compass_walker_frozen_by_first_halving():
+    # steps below 2 * step_tol: a walker at the peak freezes after one
+    # iteration while the others move on within the same call
+    peak = lambda z: -np.abs(z - 0.3)
+    starts = np.array([0.3, 0.1, 0.5j, 0.3 + 1e-10, 0.3 - 2e-10j])
+    for max_iter in (1, 2, 3, 7):
+        check_same_walk(peak, starts, 1.5e-10, step_tol=1e-10, max_iter=max_iter)
+    check_same_walk(peak, starts, 1e-10, step_tol=1e-10)
+
+
+def test_compass_routes_walkers_to_their_objectives():
+    rng = np.random.default_rng(8)
+    rows = rng.standard_normal((5, 9)) + 1j * rng.standard_normal((5, 9))
+
+    def routed(z, walkers):
+        return 1.0 - np.abs(z) ** 2 + 0.1 * np.abs(polyval_batch(rows[walkers], z))
+
+    for n in (1, 20, 21, 22, 70):
+        starts = disk_starts(n, 0.9, n)
+        ids = np.arange(n) % 5
+        got = compass_maximize(routed, starts, 0.05, walkers=ids)
+        want = reference_compass_maximize(routed, starts, 0.05, walkers=ids)
+        assert same_raw_bits(got[0], want[0]) and same_raw_bits(got[1], want[1])
+
+
+def reference_block_linkage(pts, radius):
+    # every pair in 512-row blocks, as int32 edges; min-label propagation
+    n = pts.size
+    if n == 0:
+        return []
+    ii, jj = [], []
+    for s in range(0, n, 512):
+        a, b = np.nonzero(np.abs(pts[s:s + 512, None] - pts[None, s:]) <= radius)
+        keep = b > a
+        ii.append((a[keep] + s).astype(np.int32))
+        jj.append((b[keep] + s).astype(np.int32))
+    ii, jj = np.concatenate(ii), np.concatenate(jj)
+    labels = np.arange(n)
+    while True:
+        prev = labels.copy()
+        np.minimum.at(labels, jj, labels[ii])
+        np.minimum.at(labels, ii, labels[jj])
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+        if np.array_equal(labels, prev):
+            break
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+
+
+def check_same_clusters(pts, radius):
+    got = mapping._single_linkage(pts, radius)
+    want = reference_block_linkage(pts, radius)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    return got
+
+
+def test_sweep_linkage_family_ring():
+    pts, vals = family_level_points()
+    pts, _ = mapping._dedupe_best(pts, vals, 1e-6)
+    assert pts.size == 1152
+    for radius in (0.005, 0.05, 0.5):
+        check_same_clusters(pts, radius)
+
+
+def peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_linkage_vertical_segment_within_block_memory():
+    # one shared real part puts every later point in every window
+    pts = 0.3 + 1j * np.linspace(-0.9, 0.9, 2048)
+    assert len(check_same_clusters(pts, 0.05)) == 1
+    assert len(check_same_clusters(pts[::200], 0.05)) == pts[::200].size
+    assert peak_bytes(mapping._single_linkage, pts, 0.05) <= \
+        peak_bytes(reference_block_linkage, pts, 0.05)
+
+
+def test_sweep_linkage_dense_blob_and_scatter():
+    rng = np.random.default_rng(9)
+    blob = 0.2 + 0.01 * (rng.standard_normal(700) + 1j * rng.standard_normal(700))
+    assert len(check_same_clusters(blob, 0.05)) == 1
+    scatter = 0.6 * (rng.uniform(-1, 1, 900) + 1j * rng.uniform(-1, 1, 900))
+    for radius in (0.01, 0.03, 0.05):
+        check_same_clusters(scatter, radius)
+    check_same_clusters(np.round(scatter, 2), 0.05)
+
+
+def test_sweep_linkage_pairs_exactly_radius_apart_in_x():
+    # x_j - x_i rounds to radius, so each pair is an edge, yet for some
+    # x_i + radius rounds below x_j: an unwidened window would drop them
+    radius = 0.05
+    xi = np.round(np.linspace(-0.09, 0.0, 901), 4)
+    xj = np.nextafter(xi + radius, np.inf)
+    exact = xj - xi <= radius
+    xi, xj = xi[exact][::20], xj[exact][::20]
+    assert xi.size > 30 and np.all(xi + radius < xj)
+    # one pair per row, rows more than radius apart
+    ys = -0.9 + 0.055 * np.arange(xi.size)
+    pts = np.concatenate([xi + 1j * ys, xj + 1j * ys, np.linspace(-0.9, 0.9, 19) + 0.95j])
+    clusters = check_same_clusters(pts, radius)
+    assert sum(c.size == 2 for c in clusters) == xi.size
+
+
+def test_sweep_linkage_small_and_odd_radii():
+    for pts in (np.zeros(0, dtype=complex), np.array([0.3j]), np.array([0.1, 0.1]),
+                np.array([0.0, 0.05 + 0.0j, -0.05 + 0.05j])):
+        for radius in (0.05, 0.0, -0.0, -0.1):
+            check_same_clusters(pts, radius)
+
+
+def reference_diameter(p):
+    if p.size < 2:
+        return 0.0
+    best = 0.0
+    for s in range(0, p.size, 512):
+        d = np.abs(p[s:s + 512, None] - p[None, :])
+        best = max(best, float(d.max()))
+    return best
+
+
+def reference_cluster_is_curve(p, merge_radius):
+    if p.size < 8:
+        return False
+    if reference_diameter(p) <= 20.0 * merge_radius:
+        return False
+    c = p.mean()
+    if mapping._turning_ok(p[np.argsort(np.angle(p - c))]):
+        return True
+    xy = np.column_stack([(p - c).real, (p - c).imag])
+    _, _, vt = np.linalg.svd(xy, full_matrices=False)
+    axis = complex(vt[0, 0], vt[0, 1])
+    t = ((p - c) * np.conj(axis)).real
+    return mapping._turning_ok(p[np.argsort(t)])
+
+
+def test_curve_test_matches_full_diameter():
+    pts, vals = family_level_points()
+    ring, _ = mapping._dedupe_best(pts, vals, 1e-6)
+    ring = ring[np.argsort(np.angle(ring))]
+    rng = np.random.default_rng(10)
+    clusters = [ring, ring[::-1], ring[:7], np.roll(ring, 300)]
+    # arcs whose diameter straddles 20 merge radii, starting at an end (the
+    # bound settles it) or in the middle (it falls back to the full diameter)
+    for length in (400, 500, 560, 600, 700, 1000):
+        arc = ring[:length]
+        clusters += [arc, np.roll(arc, length // 2), arc[rng.permutation(length)]]
+    clusters += [0.2 + 0.04 * (rng.standard_normal(50) + 1j * rng.standard_normal(50)),
+                 np.linspace(-0.8, 0.8, 40) + 0.1j,
+                 np.linspace(-0.8, 0.8, 40) + 0.05j * (-1.0) ** np.arange(40)]
+    results = set()
+    for p in clusters:
+        for merge_radius in (0.005, 0.03, 0.05):
+            want = reference_cluster_is_curve(p, merge_radius)
+            assert mapping._cluster_is_curve(p, merge_radius) is want
+            results.add(want)
+    assert results == {True, False}
+    for p in clusters:
+        assert mapping._diameter(p) == reference_diameter(p)
+
+
+def reference_polyval_batch(coefficients, z):
+    c = np.asarray(coefficients, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    out = np.broadcast_to(c[..., -1], z.shape).copy()
+    for k in range(c.shape[-1] - 2, -1, -1):
+        out *= z
+        out += c[..., k]
+    return out
+
+
+@pytest.mark.parametrize("degree", [0, 1, 8, 60])
+def test_polyval_batch_fill_matches_copy(degree):
+    rng = np.random.default_rng(800 + degree)
+    c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+    rows = rng.standard_normal((6, degree + 1)) + 1j * rng.standard_normal((6, degree + 1))
+    z = disk_starts(30, 0.99, degree)
+    cases = [(c, z), (c, z[3]), (c, complex(z[4])), (c, z.reshape(5, 6)), (c, z[:0]),
+             (c.real, z.real), (rows, z[:6]), (rows, z[:6].reshape(6)), (rows[:, None, :], z.reshape(6, 5))]
+    for coefficients, points in cases:
+        got = polyval_batch(coefficients, points)
+        want = reference_polyval_batch(coefficients, points)
+        assert same_raw_bits(got, want)
+        assert got.flags.writeable and not np.shares_memory(got, coefficients)
+
+
+def reference_polar_grid(n_radii=64, n_angles=128, r_max=DISK_RADIUS_CAP):
+    radii = np.linspace(0.0, r_max, n_radii + 1)[1:]
+    angles = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    rings = radii[:, None] * np.exp(1j * angles)[None, :]
+    return np.concatenate(([0.0 + 0.0j], rings.ravel()))
+
+
+@pytest.mark.parametrize("args", [(), (64, 128), (12, 24), (48, 96, 1.0 - 1e-6),
+                                  (48, 96, 0.3), (1, 1), (0, 4), (3, 5, 0.5)])
+def test_polar_grid_is_a_cached_read_only_fresh_build(args):
+    grid = polar_grid(*args)
+    assert same_raw_bits(grid, reference_polar_grid(*args))
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0] = 1.0
+    with pytest.raises(ValueError):
+        grid *= 2.0
+    assert polar_grid(*args) is grid
+    assert same_raw_bits(polar_grid(*args), reference_polar_grid(*args))
+
+
+def test_one_off_grids_stay_out_of_the_cache():
+    # a dump's caller-chosen grid and the falsifier's mapping-dependent radius
+    polar_grid.cache_clear()
+    rows = mapping.mu_grid_rows(FAMILY, 7, 13)
+    support._inner_disk_gap(FAMILY, 0.3)
+    assert polar_grid.cache_info().currsize == 0
+    grid = reference_polar_grid(7, 13)
+    assert same_raw_bits(rows[:, 0], grid.real) and same_raw_bits(rows[:, 1], grid.imag)
+    assert same_raw_bits(rows[:, 2], reference_derivative_values(FAMILY)(grid))

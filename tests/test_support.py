@@ -21,6 +21,7 @@ from blochmap import (
     support_certificate,
     verify_bonk_constants,
 )
+from blochmap import support
 from blochmap.series import differentiate
 
 IDENTITY = HarmonicMapping(AnalyticSeries([0.0, 1.0]), AnalyticSeries([0.0]))
@@ -202,6 +203,23 @@ def test_support_certificate_family():
     assert cert.attained_value == pytest.approx(2.25, abs=1e-6)
     assert cert.sample_max_other <= cert.attained_value + 1e-8
     assert cert.lambda_classification == "CURVE_LIKE"
+
+
+def test_support_certificate_margin_bound(monkeypatch):
+    # the bound the README states: attained_value and the aligned sample row
+    # round differently, so the margin may read a few ulps below zero (it is
+    # -4.4e-16 on these seeds), but never below -1e-8
+    f = counterexample_family(0.75)
+    for seed in range(4):
+        cert = support_certificate(f, 128, seed)
+        assert -1e-8 <= cert.margin <= 1e-12
+        assert cert.to_dict()["margin"] == cert.margin
+    # a sampled member beyond the bound is an error, not a certificate
+    batch_beta = support._batch_beta
+    monkeypatch.setattr(support, "_batch_beta",
+                        lambda *args, **kwargs: batch_beta(*args, **kwargs) * (1.0 - 1e-8))
+    with pytest.raises(RuntimeError, match="exceeded the certified value"):
+        support_certificate(f, 128, 0)
 
 
 def test_support_certificate_interior_returns_none():
