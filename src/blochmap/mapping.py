@@ -194,7 +194,10 @@ def metric_beta_estimate(f: HarmonicMapping, samples: int, seed: int = 0) -> flo
 
     Half the budget goes to short directional probes anchored at the most
     promising grid points (the quotient approaches mu_f there), the rest to
-    independent random pairs.  Deterministic for a fixed seed.
+    independent random pairs.  Deterministic for a fixed seed.  Not tight:
+    on random polynomial mappings it reached 0.9 beta or more up to degree
+    30, but at degree 60 about 7% stayed below 0.9 beta at any budget from
+    2*10^3 to 10^5 samples (worst 0.853 beta).
     """
     samples = int(samples)
     if samples < 2:

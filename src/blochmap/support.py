@@ -170,21 +170,19 @@ class BonkConstants:
         return {"M": self.M, "epsilon1": self.epsilon1, "R": self.R}
 
 
-def _bonk_floor(M: float, eps: np.ndarray, r: np.ndarray) -> float:
-    # the inequality rearranges to r^2 (2-eps) / (1-(1-eps)^2 r^2) >= M,
-    # whose left side decreases in eps and increases in r
-    e = eps[:, None]
-    rr = (r * r)[None, :]
-    F = rr * (2.0 - e) / (1.0 - (1.0 - e) ** 2 * rr)
-    return float(F.min())
+_BONK_TOP = 1.0 - 1e-9  # the largest radius sampled; R must stay below it
 
 
 def bonk_constants(M: float) -> BonkConstants:
-    """Search constants for the boundary annulus estimate at level M >= 0.
+    """Closed-form constants for the boundary annulus estimate at level M >= 0.
 
-    Bisects the smallest grid-verified R for a shrinking epsilon1 schedule
-    started at min(1/2, 1/(2M)); the closed-form limit sqrt(M/(M+2)) of R as
-    epsilon1 -> 0 is the natural floor.  M = 0 needs no annulus at all.
+    The inequality rearranges to F(eps, r) = r^2 (2-eps) / (1-(1-eps)^2 r^2)
+    >= M, and F decreases in eps and increases in r, so it holds on all of
+    (0, epsilon1] x [R, 1) iff F(epsilon1, R) >= M.  epsilon1 = min(1/2, 1/(2M))
+    puts the corner at R* = sqrt(M / ((2-epsilon1) + M(1-epsilon1)^2)); R adds
+    min(1e-3, (1-R*)/2) so rounding cannot undo the inequality.  1 - R is about
+    1/(4M), so R passes the 1 - 1e-9 cap beyond M of about 2.5e8 and raises
+    RuntimeError.  M = 0 needs no annulus at all.
     """
     M = float(M)
     if M < 0.0 or not math.isfinite(M):
@@ -192,28 +190,11 @@ def bonk_constants(M: float) -> BonkConstants:
     if M == 0.0:
         return BonkConstants(0.0, 1.0, 0.01)
     eps1 = min(0.5, 1.0 / (2.0 * M))
-    top = 1.0 - 1e-9
-    for _ in range(60):
-        eps_grid = np.geomspace(1e-6, eps1, 64)
-
-        def ok(R):
-            return _bonk_floor(M, eps_grid, np.linspace(R, top, 256)) >= M
-
-        if ok(top):
-            lo, hi = 0.0, top
-            for _ in range(50):
-                mid = 0.5 * (lo + hi)
-                if ok(mid):
-                    hi = mid
-                else:
-                    lo = mid
-            R = min(hi + 1e-3, 0.5 * (hi + 1.0))
-            fine = _bonk_floor(M, np.geomspace(1e-6, eps1, 200),
-                               np.linspace(R, top, 500))
-            if fine >= M:
-                return BonkConstants(M, eps1, R)
-        eps1 *= 0.5
-    raise RuntimeError("no admissible constants found; M may be too large to resolve")
+    corner = math.sqrt(M / ((2.0 - eps1) + M * (1.0 - eps1) ** 2))
+    R = min(corner + 1e-3, 0.5 * (corner + 1.0))
+    if R >= _BONK_TOP:
+        raise RuntimeError(f"M = {M!r} needs R = {R!r}, not below the cap 1 - 1e-9")
+    return BonkConstants(M, eps1, R)
 
 
 def verify_bonk_constants(constants: BonkConstants, n_samples: int = 10 ** 6,
@@ -222,10 +203,12 @@ def verify_bonk_constants(constants: BonkConstants, n_samples: int = 10 ** 6,
     nonnegative means no violation was found."""
     if n_samples < 1:
         raise ValueError("at least one sample is required")
+    if not 0.0 <= constants.R < _BONK_TOP:
+        raise ValueError(f"R = {constants.R!r} must lie in [0, 1 - 1e-9)")
     rng = np.random.default_rng(seed)
     eps = rng.uniform(0.0, constants.epsilon1, n_samples)
     eps = np.maximum(eps, 1e-12)
-    r = rng.uniform(constants.R, 1.0 - 1e-9, n_samples)
+    r = rng.uniform(constants.R, _BONK_TOP, n_samples)
     ratio = (1.0 - r * r) / (1.0 - (1.0 - eps) ** 2 * r * r)
     return float((1.0 - eps * constants.M - ratio).min())
 
@@ -434,12 +417,6 @@ def _draw_sample_rows(f: HarmonicMapping, z0: complex, count: int, columns: int,
     def gaussian_rows(m, degree):
         rows = rng.standard_normal((m, degree + 1)) + 1j * rng.standard_normal((m, degree + 1))
         rows[:, 0] = 0.0
-        dead = np.abs(rows).max(axis=1) < 1e-9
-        while np.any(dead):
-            rows[dead] = (rng.standard_normal((int(dead.sum()), degree + 1))
-                          + 1j * rng.standard_normal((int(dead.sum()), degree + 1)))
-            rows[:, 0] = 0.0
-            dead = np.abs(rows).max(axis=1) < 1e-9
         return rows
 
     deg = 8

@@ -209,6 +209,17 @@ def test_bonk_command(capsys):
     assert payload["verification_samples"] == 20000
 
 
+def test_bonk_large_levels(capsys):
+    code, out, _ = run_cli(capsys, "bonk", "--m", "1e6", "--samples", "1000")
+    assert code == 0
+    assert json.loads(out)["verified_min_slack"] >= 0.0
+    # past M of about 2.5e8 the radius R would reach the 1 - 1e-9 cap
+    code, out, err = run_cli(capsys, "bonk", "--m", "1e12")
+    assert code == 1
+    assert out == ""
+    assert "cap" in err
+
+
 def test_falsify_improves(capsys, tmp_path):
     mpath = write_mapping(tmp_path, "id.json", [0.0, 1.0], [0.0])
     fpath = write_functional(tmp_path, "L.json", [[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0]])

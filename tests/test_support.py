@@ -22,7 +22,7 @@ from blochmap import (
     verify_bonk_constants,
 )
 from blochmap import support
-from blochmap.series import differentiate
+from blochmap.series import differentiate, eval_series
 
 IDENTITY = HarmonicMapping(AnalyticSeries([0.0, 1.0]), AnalyticSeries([0.0]))
 FAMILY_SCALE = 3.0 * np.sqrt(3.0) / 8.0
@@ -159,11 +159,27 @@ def test_bonk_constants_level_two():
     assert verify_bonk_constants(bc, n_samples=10 ** 5, seed=7) >= 0.0
 
 
-@pytest.mark.parametrize("M", [0.5, 1.0, 5.0])
+def bonk_floor(eps, r):
+    # the annulus inequality holds at (eps, r) iff this reaches M
+    return r * r * (2.0 - eps) / (1.0 - (1.0 - eps) ** 2 * r * r)
+
+
+@pytest.mark.parametrize("M", [0.5, 1.0, 5.0, 2.0, 4.0, 5e5, 9e5, 1e6, 1e7]
+                         + [float(M) for M in np.geomspace(1e-6, 2e8, 25)])
 def test_bonk_constants_verified_sweep(M):
     bc = bonk_constants(M)
+    assert bc.epsilon1 == min(0.5, 1.0 / (2.0 * M))
+    assert bonk_floor(bc.epsilon1, bc.R) >= M
+    assert bc.R < 1.0 - 1e-9
     assert bc.R >= np.sqrt(M / (M + 2.0)) - 1e-12
     assert verify_bonk_constants(bc, n_samples=10 ** 5, seed=11) >= 0.0
+
+
+@pytest.mark.parametrize("M", [3e8, 1e12, 1e300])
+def test_bonk_constants_past_the_radius_cap(M):
+    # 1 - R is about 1/(4M), which reaches the 1e-9 cap near M = 2.5e8
+    with pytest.raises(RuntimeError, match="cap"):
+        bonk_constants(M)
 
 
 def test_bonk_constants_domain():
@@ -220,6 +236,24 @@ def test_support_certificate_margin_bound(monkeypatch):
                         lambda *args, **kwargs: batch_beta(*args, **kwargs) * (1.0 - 1e-8))
     with pytest.raises(RuntimeError, match="exceeded the certified value"):
         support_certificate(f, 128, 0)
+
+
+@pytest.mark.parametrize("f", [
+    IDENTITY,
+    HarmonicMapping(AnalyticSeries([0.0]), AnalyticSeries([0.0, 1.0])),
+    counterexample_family(0.3),
+    counterexample_family(0.75),
+    counterexample_family(1.0),
+    sample_unit_ball(1),
+], ids=["identity", "co-identity", "family-0.3", "family-0.75", "family-1", "sampled"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_support_certificate_closed_form_bound(f, seed):
+    # |L(q)| <= |w| (|s'(z0)| + |t'(z0)|) and every sampled beta is seeded at
+    # z0, so no sampled ratio can pass S0 / (1 - |z0|^2)
+    cert = support_certificate(f, samples=256, seed=seed)
+    z0 = cert.z0
+    s0 = abs(eval_series(differentiate(f.h), z0)) + abs(eval_series(differentiate(f.g), z0))
+    assert cert.sample_max_other <= s0 / (1.0 - abs(z0) ** 2) * (1.0 + 1e-12)
 
 
 def test_support_certificate_interior_returns_none():
@@ -359,3 +393,9 @@ def test_support_tolerances_must_be_positive_and_finite(tol):
 def test_verify_bonk_constants_needs_a_sample(n):
     with pytest.raises(ValueError, match="sample"):
         verify_bonk_constants(bonk_constants(2.0), n_samples=n)
+
+
+@pytest.mark.parametrize("R", [1.0 - 1e-9, 1.0, 1.5, -0.1, float("nan")])
+def test_verify_bonk_constants_rejects_radius_outside_the_annulus(R):
+    with pytest.raises(ValueError, match="R = "):
+        verify_bonk_constants(support.BonkConstants(2.0, 0.25, R), n_samples=10)
