@@ -33,7 +33,7 @@ def main():
     print("== a curve of touching points defeats every exponent ==")
     f = counterexample_family(1.0)
     z0 = 1.0 / np.sqrt(3.0)
-    res = sharpening_exponent(f, z0, 0.5, max_halvings=6)
+    res = sharpening_exponent(f, z0, 0.5)
     print(f"search result at a level-circle point: {res}")
     print("every punctured neighborhood of z0 meets the level circle, where the")
     print("sharpened bound fails; the dense cross-check rejects all grid artifacts")

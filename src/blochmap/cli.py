@@ -98,12 +98,13 @@ def _parse_complex(text: str) -> complex:
     raise _ArgumentError(f"complex values are written 're' or 're,im' with finite parts, got {text!r}")
 
 
-def _parse_grid(text: str):
+def _parse_grid(text: str) -> dict:
+    # the grid keywords of the analyses; without --grid they keep their defaults
     parts = text.lower().split("x")
     if len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
         r, t = int(parts[0]), int(parts[1])
         if r > 0 and t > 0:
-            return r, t
+            return {"n_radii": r, "n_angles": t}
     raise _ArgumentError(f"grid sizes are written RxT, e.g. 64x128, got {text!r}")
 
 
@@ -126,16 +127,9 @@ def _load_functional(path: str) -> LinearFunctional:
     return LinearFunctional.from_dict(data)
 
 
-def _grid_kwargs(args):
-    if args.grid is None:
-        return {}
-    r, t = args.grid
-    return {"n_radii": r, "n_angles": t}
-
-
 def _cmd_beta(args) -> CommandResult:
     f = _input_mapping(args)
-    est = estimate_bloch_constant(f, **_grid_kwargs(args))
+    est = estimate_bloch_constant(f, **args.grid)
     payload = {
         "beta": est.value,
         "accuracy": est.accuracy,
@@ -147,14 +141,14 @@ def _cmd_beta(args) -> CommandResult:
 
 def _cmd_mu_grid(args) -> CommandResult:
     f = _input_mapping(args)
-    rows = mu_grid_rows(f, **_grid_kwargs(args))
+    rows = mu_grid_rows(f, **args.grid)
     payload = {"header": ["re", "im", "mu"], "rows": rows}
     return CommandResult("OK", payload, render="csv")
 
 
 def _cmd_lambda(args) -> CommandResult:
     f = _input_mapping(args)
-    rep = lambda_set(f, args.tol, **_grid_kwargs(args))
+    rep = lambda_set(f, args.tol, **args.grid)
     status = "FLAGGED" if rep.flagged else "OK"
     diags = ["Bloch norm exceeds one beyond tolerance; level-set points are unreliable"] \
         if rep.flagged else []
@@ -221,8 +215,7 @@ def _cmd_functional(args) -> CommandResult:
 
 def _cmd_certify_support(args) -> CommandResult:
     f = _input_mapping(args)
-    cert = support_certificate(f, 10000 if args.samples is None else args.samples,
-                               args.seed, args.tol)
+    cert = support_certificate(f, args.samples, args.seed, args.tol)
     if cert is None:
         return CommandResult("OK", {"status": "NONE"})
     return CommandResult("OK", {"status": "CERTIFIED", **cert.to_dict()})
@@ -232,9 +225,8 @@ def _cmd_bonk(args) -> CommandResult:
     if args.m is None:
         raise _ArgumentError("bonk requires --m VALUE (the nonnegative level M)")
     bc = bonk_constants(args.m)
-    n = 10 ** 5 if args.samples is None else args.samples
-    slack = verify_bonk_constants(bc, n_samples=n, seed=args.seed)
-    payload = {**bc.to_dict(), "verified_min_slack": slack, "verification_samples": n}
+    slack = verify_bonk_constants(bc, n_samples=args.samples, seed=args.seed)
+    payload = {**bc.to_dict(), "verified_min_slack": slack, "verification_samples": args.samples}
     return CommandResult("OK", payload)
 
 
@@ -256,75 +248,77 @@ def _cmd_decompose(args) -> CommandResult:
     return CommandResult("OK", {"status": "DECOMPOSED", **d.to_dict()})
 
 
-_HANDLERS = {
-    "beta": _cmd_beta,
-    "mu-grid": _cmd_mu_grid,
-    "lambda": _cmd_lambda,
-    "membership": _cmd_membership,
-    "counterexample": _cmd_counterexample,
-    "midpoint": _cmd_midpoint,
-    "extreme-check": _cmd_extreme_check,
-    "sharpen": _cmd_sharpen,
-    "functional": _cmd_functional,
-    "certify-support": _cmd_certify_support,
-    "bonk": _cmd_bonk,
-    "falsify": _cmd_falsify,
-    "decompose": _cmd_decompose,
+# add_argument settings of every option a subcommand can read
+_OPTIONS = {
+    "--mapping": {"metavar": "FILE", "help": "mapping spec JSON with h/g coefficient lists"},
+    "--family-a": {"type": float, "metavar": "A",
+                   "help": "build the quadratic counterexample family member f_A"},
+    "--tol": {"type": float, "default": 1e-6},
+    "--samples": {"type": int},
+    "--seed": {"type": int, "default": 0},
+    "--grid": {"type": _parse_grid, "default": {}, "metavar": "RxT",
+               "help": "polar grid sizes, radii x angles (default 64x128)"},
+    "--a": {"type": float, "help": "family parameter to test against"},
+    "--z0": {"type": _parse_complex, "metavar": "RE[,IM]"},
+    "--delta0": {"type": float},
+    "--n-max": {"type": int, "default": 8},
+    "--functional": {"metavar": "FILE", "help": "functional spec JSON with A/B weight lists"},
+    "--lift": {"action": "store_true",
+               "help": "also report the derivative-side lift and its value"},
+    "--eps": {"type": float, "help": "also report the dilation bound at this eps"},
+    "--m": {"type": float, "help": "nonnegative level M"},
+    "--out": {"metavar": "FILE", "help": "write output here instead of stdout"},
 }
+
+_MAPPING = ("--mapping", "--family-a")
+
+# subcommand -> (handler, help, the options it reads besides --out); an
+# option nothing reads is an "unrecognized arguments" error
+_COMMANDS = {
+    "beta": (_cmd_beta, "Bloch constant, accuracy and norm", (*_MAPPING, "--grid")),
+    "mu-grid": (_cmd_mu_grid, "CSV dump re,im,mu over a polar grid", (*_MAPPING, "--grid")),
+    "lambda": (_cmd_lambda, "locate and classify the unit level set of mu",
+               (*_MAPPING, "--tol", "--grid")),
+    "membership": (_cmd_membership, "Bloch-type ball membership report", _MAPPING),
+    "counterexample": (_cmd_counterexample, "emit the family member f_A as mapping JSON",
+                       ("--family-a",)),
+    "midpoint": (_cmd_midpoint, "check f against the family midpoint identity at --a",
+                 (*_MAPPING, "--a")),
+    "extreme-check": (_cmd_extreme_check, "necessary-condition screen for extreme points",
+                      (*_MAPPING, "--tol")),
+    "sharpen": (_cmd_sharpen, "search the sharpened weighted-derivative bound exponent",
+                (*_MAPPING, "--z0", "--delta0", "--n-max")),
+    "functional": (_cmd_functional, "evaluate a coefficient functional on a mapping",
+                   (*_MAPPING, "--functional", "--lift", "--eps")),
+    "certify-support": (_cmd_certify_support,
+                        "support-point certificate over sampled ball members",
+                        (*_MAPPING, "--tol", "--samples", "--seed")),
+    "bonk": (_cmd_bonk, "boundary annulus constants for level --m",
+             ("--m", "--samples", "--seed")),
+    "falsify": (_cmd_falsify, "dilation-plus-bump improvement against a functional",
+                (*_MAPPING, "--functional", "--tol")),
+    "decompose": (_cmd_decompose, "peel the unimodular constant off a support-point candidate",
+                  (*_MAPPING, "--tol")),
+}
+
+# --samples has a default per subcommand
+_SAMPLES = {"certify-support": 10000, "bonk": 10 ** 5}
 
 
 @functools.cache
 def _build_parser() -> _Parser:
     # built once per process: parse_args reads the parser and never changes it
-    common = _Parser(add_help=False)
-    common.add_argument("--mapping", metavar="FILE",
-                        help="mapping spec JSON with h/g coefficient lists")
-    common.add_argument("--family-a", type=float, metavar="A",
-                        help="build the quadratic counterexample family member f_A")
-    common.add_argument("--tol", type=float, default=1e-6)
-    common.add_argument("--samples", type=int)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--grid", type=_parse_grid, metavar="RxT",
-                        help="polar grid sizes, radii x angles (default 64x128)")
-    common.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
-
     parser = _Parser(prog="blochmap",
                      description="Bloch constants, unit level sets and support "
                                  "certificates for planar harmonic mappings")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "beta": "Bloch constant, accuracy and norm",
-        "mu-grid": "CSV dump re,im,mu over a polar grid",
-        "lambda": "locate and classify the unit level set of mu",
-        "membership": "Bloch-type ball membership report",
-        "counterexample": "emit the family member f_A as mapping JSON",
-        "midpoint": "check f against the family midpoint identity at --a",
-        "extreme-check": "necessary-condition screen for extreme points",
-        "sharpen": "search the sharpened weighted-derivative bound exponent",
-        "functional": "evaluate a coefficient functional on a mapping",
-        "certify-support": "support-point certificate over sampled ball members",
-        "bonk": "boundary annulus constants for level --m",
-        "falsify": "dilation-plus-bump improvement against a functional",
-        "decompose": "peel the unimodular constant off a support-point candidate",
-    }
-    for name in _HANDLERS:
-        p = sub.add_parser(name, parents=[common], help=helps[name])
-        if name == "midpoint":
-            p.add_argument("--a", type=float, help="family parameter to test against")
-        if name == "sharpen":
-            p.add_argument("--z0", type=_parse_complex, metavar="RE[,IM]")
-            p.add_argument("--delta0", type=float)
-            p.add_argument("--n-max", type=int, default=8, dest="n_max")
-        if name in ("functional", "falsify"):
-            p.add_argument("--functional", metavar="FILE",
-                           help="functional spec JSON with A/B weight lists")
-        if name == "functional":
-            p.add_argument("--lift", action="store_true",
-                           help="also report the derivative-side lift and its value")
-            p.add_argument("--eps", type=float,
-                           help="also report the dilation bound at this eps")
-        if name == "bonk":
-            p.add_argument("--m", type=float, help="nonnegative level M")
+    for name, (handler, text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag in (*options, "--out"):
+            p.add_argument(flag, **_OPTIONS[flag])
+        p.set_defaults(handler=handler)
+        if name in _SAMPLES:
+            p.set_defaults(samples=_SAMPLES[name])
     return parser
 
 
@@ -336,7 +330,7 @@ def run(argv) -> CommandResult:
     an error too."""
     try:
         args = _build_parser().parse_args(argv)
-        result = _HANDLERS[args.command](args)
+        result = args.handler(args)
         result.out_path = args.out
         if result.payload is not None:
             result.text = _render(result)

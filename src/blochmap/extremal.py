@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import AnalyticSeries, differentiate, linear_combination
+from .optimize import DISK_RADIUS_CAP
 from .mapping import (
     HarmonicMapping,
     LambdaReport,
@@ -133,18 +134,12 @@ class CoefficientConditions:
     def certifies_exclusion(self) -> bool:
         return not self.all_passed
 
-    def to_dict(self) -> dict:
-        return {
-            "a1": [self.a1.real, self.a1.imag],
-            "b0": [self.b0.real, self.b0.imag],
-            "b1": [self.b1.real, self.b1.imag],
-            "pair_sum": self.pair_sum,
-            "passed": dict(self.passed),
-            "all_passed": self.all_passed,
-        }
+
+# coefficientwise comparisons treat differences up to this size as zero
+COEFFICIENT_TOL = 1e-12
 
 
-def coefficient_conditions(f: HarmonicMapping, tol: float = 1e-12) -> CoefficientConditions:
+def coefficient_conditions(f: HarmonicMapping) -> CoefficientConditions:
     """Check the vanishing/size conditions on the derivative coefficients.
 
     Requires the normalization h'(0) = 1 (use ``rotation_normalize`` and a
@@ -163,10 +158,10 @@ def coefficient_conditions(f: HarmonicMapping, tol: float = 1e-12) -> Coefficien
     b0, b1, b2 = coef(gp, 0), coef(gp, 1), coef(gp, 2)
     pair = abs(a2) + abs(b2)
     passed = {
-        "a1_zero": abs(a1) <= tol,
-        "b0_zero": abs(b0) <= tol,
-        "b1_zero": abs(b1) <= tol,
-        "pair_sum_at_most_one": pair <= 1.0 + tol,
+        "a1_zero": abs(a1) <= COEFFICIENT_TOL,
+        "b0_zero": abs(b0) <= COEFFICIENT_TOL,
+        "b1_zero": abs(b1) <= COEFFICIENT_TOL,
+        "pair_sum_at_most_one": pair <= 1.0 + COEFFICIENT_TOL,
     }
     return CoefficientConditions(a1, b0, b1, pair, passed, all(passed.values()))
 
@@ -186,7 +181,7 @@ def counterexample_family(a: float) -> HarmonicMapping:
     return HarmonicMapping(h, g)
 
 
-def midpoint_check(f: HarmonicMapping, a: float, tol: float = 1e-12) -> bool:
+def midpoint_check(f: HarmonicMapping, a: float) -> bool:
     """Whether f = (f_a + f_{2-a}) / 2 coefficientwise; a = 1 is degenerate
     (the two members coincide) and is rejected."""
     a = float(a)
@@ -202,7 +197,7 @@ def midpoint_check(f: HarmonicMapping, a: float, tol: float = 1e-12) -> bool:
         right = np.zeros(n, dtype=complex)
         left[: s.coefficients.size] = s.coefficients
         right[: mid.size] = mid
-        return bool(np.max(np.abs(left - right), initial=0.0) <= tol)
+        return bool(np.max(np.abs(left - right), initial=0.0) <= COEFFICIENT_TOL)
 
     return matches(f.h, fa.h, fb.h) and matches(f.g, fa.g, fb.g)
 
@@ -296,7 +291,7 @@ def _punctured_samples(z0: complex, delta: float, n_radii: int, n_angles: int,
     # |pt| <= |z0| + |delta|, so when that sum clears the cap by 1e-9 (far
     # above rounding) the mask cannot drop a point; NaN input takes the mask
     if not abs(z0) + abs(delta) <= 1.0 - 2e-9:
-        pts = pts[np.abs(pts) <= 1.0 - 1e-9]
+        pts = pts[np.abs(pts) <= DISK_RADIUS_CAP]
     if pts.size == 0:
         raise ValueError("punctured neighborhood does not meet the open disk")
     return pts
@@ -311,11 +306,13 @@ def _sharpening_margins(f: HarmonicMapping, pts: np.ndarray, z0: complex, n: int
 
 # accepted margins must clear float noise; smaller positives are treated as zero
 MARGIN_FLOOR = 1e-10
+# radii x angles of the search grid of sharpening_exponent, and how often
+# the search may halve delta0
+SEARCH_GRID = (48, 96)
+MAX_HALVINGS = 20
 
 
-def sharpening_exponent(f: HarmonicMapping, z0, delta0: float, n_max: int = 8,
-                        n_radii: int = 48, n_angles: int = 96,
-                        max_halvings: int = 20):
+def sharpening_exponent(f: HarmonicMapping, z0, delta0: float, n_max: int = 8):
     """Search for the smallest exponent making the sharpened bound hold.
 
     Requires mu_f(z0) = 1 (within 1e-8) and mu_f < 1 on the sampled punctured
@@ -326,20 +323,23 @@ def sharpening_exponent(f: HarmonicMapping, z0, delta0: float, n_max: int = 8,
     noise floor; this rejects spurious witnesses at centers where the unit
     level set is a curve through the neighborhood.  The accepted witness
     carries that confirmed margin as ``verified_margin``.  Returns None when
-    the sweep is exhausted.
+    the sweep of ``n_max`` exponents over ``MAX_HALVINGS + 1`` radii is
+    exhausted.
     """
     z0 = complex(z0)
     delta0 = float(delta0)
     if not 0.0 < delta0 < math.inf:
         raise ValueError("delta0 must be a positive finite number")
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     if abs(mu(f, z0) - 1.0) > 1e-8:
         raise ValueError("sharpening requires a unit-level center point")
-    base = _punctured_samples(z0, delta0, n_radii, n_angles)
+    base = _punctured_samples(z0, delta0, *SEARCH_GRID)
     if not bool((_mu_values(f)(base) < 1.0 - 1e-12).all()):
         raise ValueError("mu must stay below one on the punctured neighborhood")
     delta = delta0
-    for _ in range(max_halvings + 1):
-        pts = base if delta == delta0 else _punctured_samples(z0, delta, n_radii, n_angles)
+    for _ in range(MAX_HALVINGS + 1):
+        pts = base if delta == delta0 else _punctured_samples(z0, delta, *SEARCH_GRID)
         for n in range(1, n_max + 1):
             margins = _sharpening_margins(f, pts, z0, n)
             worst = float(margins.min())

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .series import AnalyticSeries, differentiate, eval_series, linear_combination, polyval_batch
-from .optimize import MaximizationResult, compass_maximize, maximize_on_disk, polar_grid
+from .optimize import (DISK_RADIUS_CAP, MaximizationResult, compass_maximize,
+                       maximize_on_disk, polar_grid)
 
 __all__ = [
     "Ternary",
@@ -62,7 +63,7 @@ class HarmonicMapping:
 
     h: AnalyticSeries
     g: AnalyticSeries
-    # Bloch estimates of this mapping keyed by search settings; see
+    # Bloch estimates of this mapping keyed by grid sizes; see
     # estimate_bloch_constant
     _estimates: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -135,8 +136,7 @@ def _tail_allowance(f: HarmonicMapping) -> float:
     return (f.h.tail_bound or 0.0) + (f.g.tail_bound or 0.0)
 
 
-def estimate_bloch_constant(f: HarmonicMapping, n_radii=64, n_angles=128,
-                            n_starts=20, step_tol=1e-10) -> MaximizationResult:
+def estimate_bloch_constant(f: HarmonicMapping, n_radii=64, n_angles=128) -> MaximizationResult:
     """Bloch constant sup mu_f with an estimated absolute accuracy.
 
     A fixed polar grid seeds deterministic compass ascents and the best value
@@ -144,30 +144,29 @@ def estimate_bloch_constant(f: HarmonicMapping, n_radii=64, n_angles=128,
     accuracy as-is (they are declared bounds, not derivative bounds; exact
     polynomials contribute nothing).
 
-    The result is memoized on the mapping, keyed by the search settings, so
+    The result is memoized on the mapping, keyed by the grid sizes, so
     every analysis of one mapping object reads one β.  This is safe because
     the coefficient arrays are read-only and the search is deterministic: a
     memo hit returns exactly what a recomputation would, and two threads
     racing on a first call store equal values.  The memo lives and dies with
     its mapping.
     """
-    key = (n_radii, n_angles, n_starts, step_tol)
+    key = (n_radii, n_angles)
     est = f._estimates.get(key)
     if est is None:
-        res = maximize_on_disk(_mu_values(f), n_radii=n_radii,
-                               n_angles=n_angles, n_starts=n_starts, step_tol=step_tol)
+        res = maximize_on_disk(_mu_values(f), n_radii=n_radii, n_angles=n_angles)
         est = MaximizationResult(res.value, res.accuracy + _tail_allowance(f), res.argmax)
         f._estimates[key] = est
     return est
 
 
-def bloch_constant(f: HarmonicMapping, **kwargs) -> float:
-    return estimate_bloch_constant(f, **kwargs).value
+def bloch_constant(f: HarmonicMapping) -> float:
+    return estimate_bloch_constant(f).value
 
 
-def bloch_norm(f: HarmonicMapping, **kwargs) -> float:
+def bloch_norm(f: HarmonicMapping) -> float:
     """|f(0)| plus the Bloch constant."""
-    return abs(f.value_at_origin) + bloch_constant(f, **kwargs)
+    return abs(f.value_at_origin) + bloch_constant(f)
 
 
 def little_bloch_status(f: HarmonicMapping) -> Ternary:
@@ -215,7 +214,7 @@ def metric_beta_estimate(f: HarmonicMapping, samples: int, seed: int = 0) -> flo
     u = np.exp(1j * np.tile(phis, anchors.size))
     delta = 1e-3
     w = z + delta * (1.0 - np.abs(z) ** 2) * u
-    ok = np.abs(w) < 1.0 - 1e-9
+    ok = np.abs(w) < DISK_RADIUS_CAP
     if ok.any():
         q = np.abs(_evaluate_many(f, z[ok]) - _evaluate_many(f, w[ok])) / _rho_many(z[ok], w[ok])
         best = max(best, float(q.max()))
@@ -233,6 +232,10 @@ def metric_beta_estimate(f: HarmonicMapping, samples: int, seed: int = 0) -> flo
     return best
 
 
+# level-set points at most this far apart join one cluster
+MERGE_RADIUS = 0.05
+
+
 @dataclass(frozen=True, eq=False)
 class LambdaReport:
     """Located points of a unit level set with geometric classification.
@@ -248,7 +251,6 @@ class LambdaReport:
     classification: LevelSetShape
     witness_radius: float
     flagged: bool = False
-    merge_radius: float = 0.05
     clusters: tuple = ()
 
     @property
@@ -262,7 +264,7 @@ class LambdaReport:
             "residuals": [float(r) for r in self.residuals],
             "witness_radius": float(self.witness_radius),
             "flagged": bool(self.flagged),
-            "merge_radius": float(self.merge_radius),
+            "merge_radius": MERGE_RADIUS,
             "cluster_count": self.cluster_count,
         }
 
@@ -364,8 +366,8 @@ def _cluster_is_curve(p: np.ndarray, merge_radius: float) -> bool:
     return _turning_ok(p[np.argsort(t)])
 
 
-def _unit_level_report(values, tol: float, flagged: bool, n_radii: int,
-                       n_angles: int, merge_radius: float, step_tol=1e-10) -> LambdaReport:
+def _unit_level_report(values, tol: float, flagged: bool, n_radii: int = 64,
+                       n_angles: int = 128) -> LambdaReport:
     if not 0.0 < tol < math.inf:
         raise ValueError("tolerance must be a positive finite number")
     grid = polar_grid(n_radii, n_angles)
@@ -377,24 +379,21 @@ def _unit_level_report(values, tol: float, flagged: bool, n_radii: int,
     if seeds.size > 4096:
         seeds = seeds[np.argsort(gv[seeds])[::-1][:4096]]
     spacing = max(1.0 / n_radii, np.pi / n_angles)
-    pts, vals = compass_maximize(lambda z, _w: values(z), grid[seeds],
-                                 2.0 * spacing, step_tol=step_tol)
+    pts, vals = compass_maximize(lambda z, _w: values(z), grid[seeds], 2.0 * spacing)
     keep = np.abs(vals - 1.0) <= tol
     pts, vals = pts[keep], vals[keep]
     if pts.size == 0:
-        return LambdaReport(pts, np.abs(vals - 1.0), LevelSetShape.EMPTY, 0.0,
-                            flagged, merge_radius, ())
+        return LambdaReport(pts, np.abs(vals - 1.0), LevelSetShape.EMPTY, 0.0, flagged)
     pts, vals = _dedupe_best(pts, vals, 1e-6)
-    clusters = _single_linkage(pts, merge_radius)
-    curve = any(_cluster_is_curve(pts[idx], merge_radius) for idx in clusters)
+    clusters = _single_linkage(pts, MERGE_RADIUS)
+    curve = any(_cluster_is_curve(pts[idx], MERGE_RADIUS) for idx in clusters)
     shape = LevelSetShape.CURVE_LIKE if curve else LevelSetShape.ISOLATED
     return LambdaReport(pts, np.abs(vals - 1.0), shape,
-                        float(np.abs(pts).max()), flagged, merge_radius,
-                        tuple(clusters))
+                        float(np.abs(pts).max()), flagged, tuple(clusters))
 
 
 def lambda_set(f: HarmonicMapping, tol: float = 1e-6, n_radii: int = 64,
-               n_angles: int = 128, merge_radius: float = 0.05) -> LambdaReport:
+               n_angles: int = 128) -> LambdaReport:
     """Locate and classify the level set where mu_f = 1.
 
     Seeds local maximizations of mu_f from a polar grid, keeps converged
@@ -405,17 +404,14 @@ def lambda_set(f: HarmonicMapping, tol: float = 1e-6, n_radii: int = 64,
     tol = float(tol)
     est = estimate_bloch_constant(f, n_radii=n_radii, n_angles=n_angles)
     norm = abs(f.value_at_origin) + est.value
-    return _unit_level_report(_mu_values(f), tol, norm > 1.0 + tol,
-                              n_radii, n_angles, merge_radius)
+    return _unit_level_report(_mu_values(f), tol, norm > 1.0 + tol, n_radii, n_angles)
 
 
-def sup_modulus(f: HarmonicMapping, tol: float = 1e-6, n_radii: int = 64,
-                n_angles: int = 128, merge_radius: float = 0.05):
+def sup_modulus(f: HarmonicMapping, tol: float = 1e-6):
     """sup (|h| + |g|)(1 - |z|^2) together with a report on its unit level set."""
     values = _weighted_abs_sum(f.h.coefficients, f.g.coefficients)
-    res = maximize_on_disk(values, n_radii=n_radii, n_angles=n_angles)
-    report = _unit_level_report(values, tol, res.value > 1.0 + tol,
-                                n_radii, n_angles, merge_radius)
+    res = maximize_on_disk(values)
+    report = _unit_level_report(values, tol, res.value > 1.0 + tol)
     return res.value, report
 
 

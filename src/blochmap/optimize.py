@@ -19,6 +19,9 @@ __all__ = ["polar_grid", "compass_maximize", "maximize_on_disk", "MaximizationRe
 # searches never leave |z| <= 1 - 1e-9
 DISK_RADIUS_CAP = 1.0 - 1e-9
 
+# maximize_on_disk refines this many well-spread grid maxima
+N_STARTS = 20
+
 
 # While at most this many walkers are active, one objective call carries two
 # compass iterations; the beta searches run about 20 walkers, level-set and
@@ -45,7 +48,7 @@ def polar_grid(n_radii=64, n_angles=128, r_max=DISK_RADIUS_CAP) -> np.ndarray:
 
 
 def compass_maximize(evaluate, starts, initial_step, *, step_tol=1e-10,
-                     r_max=DISK_RADIUS_CAP, max_iter=3000, walkers=None):
+                     max_iter=3000, walkers=None):
     """Lockstep compass ascent from every start; returns (points, values).
 
     ``evaluate(z, walkers)`` takes a complex array and, when ``walkers`` is
@@ -64,7 +67,8 @@ def compass_maximize(evaluate, starts, initial_step, *, step_tol=1e-10,
     would use, so the walks are the same to the last bit.  This relies on
     ``evaluate`` being pure and pointwise: a point's value may not depend on
     the other points of the same call, and ``evaluate`` may be called on
-    speculative points the walk never visits, inside or outside ``r_max``.
+    speculative points the walk never visits, inside or outside
+    ``DISK_RADIUS_CAP``.
     The in-tree objectives meet this; each is an elementwise Horner
     evaluation: ``mapping._weighted_abs_sum``, which ``maximize_on_disk``,
     the level-set search of ``lambda_set`` and ``sup_modulus`` and the
@@ -99,7 +103,7 @@ def compass_maximize(evaluate, starts, initial_step, *, step_tol=1e-10,
             pts = za[None, :] + moves
         wk = None if wa is None else np.tile(wa, pts.shape[0])
         vals = evaluate(pts.ravel(), wk).reshape(pts.shape)
-        vals[np.abs(pts) > r_max] = -np.inf
+        vals[np.abs(pts) > DISK_RADIUS_CAP] = -np.inf
         # each block's best row and value
         pick = vals.reshape(-1, 4, n).argmax(axis=1)
         rows = _BLOCK_STARTS[:pick.shape[0]] + pick
@@ -148,24 +152,22 @@ def _spread_top_indices(points, values, count, min_sep):
     return np.asarray(chosen, dtype=int)
 
 
-def maximize_on_disk(values, n_radii=64, n_angles=128, n_starts=20,
-                     step_tol=1e-10, r_max=DISK_RADIUS_CAP) -> MaximizationResult:
+def maximize_on_disk(values, n_radii=64, n_angles=128) -> MaximizationResult:
     """Maximize a vectorized objective ``values(z_array)`` over the disk."""
-    grid = polar_grid(n_radii, n_angles, r_max)
+    grid = polar_grid(n_radii, n_angles)
     gv = values(grid)
-    spacing = max(r_max / n_radii, np.pi / n_angles)
-    seeds = _spread_top_indices(grid, gv, n_starts, 2.0 * spacing)
+    spacing = max(DISK_RADIUS_CAP / n_radii, np.pi / n_angles)
+    seeds = _spread_top_indices(grid, gv, N_STARTS, 2.0 * spacing)
 
     def ev(z, _walkers):
         return values(z)
 
-    pts, vals = compass_maximize(ev, grid[seeds], 2.0 * spacing,
-                                 step_tol=step_tol, r_max=r_max)
+    pts, vals = compass_maximize(ev, grid[seeds], 2.0 * spacing)
     k = int(np.argmax(vals))
     best_z = complex(pts[k])
     best_v = float(vals[k])
     probes = best_z + 1e-6 * np.array([1.0, -1.0, 1j, -1j])
-    probes = probes[np.abs(probes) <= r_max]
+    probes = probes[np.abs(probes) <= DISK_RADIUS_CAP]
     drop = 0.0
     if probes.size:
         pv = values(probes)

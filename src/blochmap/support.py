@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .series import AnalyticSeries, differentiate, dilate, eval_series, linear_combination, polyval_batch
-from .optimize import compass_maximize, maximize_on_disk, polar_grid
+from .optimize import DISK_RADIUS_CAP, compass_maximize, maximize_on_disk, polar_grid
 from .mapping import (
     HarmonicMapping,
     LevelSetShape,
@@ -170,9 +170,6 @@ class BonkConstants:
         return {"M": self.M, "epsilon1": self.epsilon1, "R": self.R}
 
 
-_BONK_TOP = 1.0 - 1e-9  # the largest radius sampled; R must stay below it
-
-
 def bonk_constants(M: float) -> BonkConstants:
     """Closed-form constants for the boundary annulus estimate at level M >= 0.
 
@@ -192,23 +189,23 @@ def bonk_constants(M: float) -> BonkConstants:
     eps1 = min(0.5, 1.0 / (2.0 * M))
     corner = math.sqrt(M / ((2.0 - eps1) + M * (1.0 - eps1) ** 2))
     R = min(corner + 1e-3, 0.5 * (corner + 1.0))
-    if R >= _BONK_TOP:
+    if R >= DISK_RADIUS_CAP:
         raise RuntimeError(f"M = {M!r} needs R = {R!r}, not below the cap 1 - 1e-9")
     return BonkConstants(M, eps1, R)
 
 
 def verify_bonk_constants(constants: BonkConstants, n_samples: int = 10 ** 6,
                           seed: int = 0) -> float:
-    """Worst slack of the annulus inequality over random (eps, r) samples;
-    nonnegative means no violation was found."""
+    """Worst slack of the annulus inequality over random (eps, r) samples
+    with r in [R, 1 - 1e-9); nonnegative means no violation was found."""
     if n_samples < 1:
         raise ValueError("at least one sample is required")
-    if not 0.0 <= constants.R < _BONK_TOP:
+    if not 0.0 <= constants.R < DISK_RADIUS_CAP:
         raise ValueError(f"R = {constants.R!r} must lie in [0, 1 - 1e-9)")
     rng = np.random.default_rng(seed)
     eps = rng.uniform(0.0, constants.epsilon1, n_samples)
     eps = np.maximum(eps, 1e-12)
-    r = rng.uniform(constants.R, _BONK_TOP, n_samples)
+    r = rng.uniform(constants.R, DISK_RADIUS_CAP, n_samples)
     ratio = (1.0 - r * r) / (1.0 - (1.0 - eps) ** 2 * r * r)
     return float((1.0 - eps * constants.M - ratio).min())
 
@@ -338,7 +335,7 @@ def _trimmed_side(d: np.ndarray):
 
 
 def _batch_beta(h_rows: np.ndarray, g_rows: np.ndarray, z0: complex,
-                rng: np.random.Generator, step_tol: float = 1e-9) -> np.ndarray:
+                rng: np.random.Generator) -> np.ndarray:
     """Bloch constants of many coefficient-row mappings in one lockstep sweep.
 
     Each row is seeded at z0, a coarse polar-grid argmax, and one random
@@ -376,7 +373,7 @@ def _batch_beta(h_rows: np.ndarray, g_rows: np.ndarray, z0: complex,
     extra = rng.uniform(0.05, 0.9, n) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
     starts = np.concatenate([np.full(n, complex(z0)), best, extra])
     walkers = np.tile(np.arange(n), 3)
-    _, vals = compass_maximize(mu_rows, starts, 0.1, step_tol=step_tol,
+    _, vals = compass_maximize(mu_rows, starts, 0.1, step_tol=1e-9,
                                max_iter=400, walkers=walkers)
     return vals.reshape(3, n).max(axis=0)
 

@@ -358,8 +358,8 @@ def test_json_hook_serializes_numpy_and_complex_values():
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-6"])
 @pytest.mark.parametrize("command", ["extreme-check", "lambda", "certify-support", "decompose"])
 def test_non_positive_or_non_finite_tol_is_rejected(capsys, command, tol):
-    code, out, err = run_cli(capsys, command, "--family-a", "1.0", f"--tol={tol}",
-                             "--samples", "16")
+    samples = ["--samples", "16"] if command == "certify-support" else []
+    code, out, err = run_cli(capsys, command, "--family-a", "1.0", f"--tol={tol}", *samples)
     assert code == 1
     assert out == ""
     assert "tolerance" in err
@@ -384,6 +384,54 @@ def test_sharpen_rejects_bad_radius(capsys, tmp_path, delta0):
     assert code == 1
     assert out == ""
     assert err.strip() == "delta0 must be a positive finite number"
+
+
+def test_sharpen_rejects_empty_exponent_range(capsys, tmp_path):
+    path = write_mapping(tmp_path, "id.json", [0.0, 1.0], [0.0])
+    code, out, err = run_cli(capsys, "sharpen", "--mapping", path, "--z0", "0",
+                             "--delta0", "0.9", "--n-max", "0")
+    assert code == 1
+    assert out == ""
+    assert "n_max" in err
+
+
+# a valid call of each subcommand, and the options it does not read
+VALID_CALLS = {
+    "beta": ["--family-a", "1.0"],
+    "mu-grid": ["--family-a", "1.0", "--grid", "2x4"],
+    "lambda": ["--family-a", "1.0"],
+    "membership": ["--family-a", "0.5"],
+    "counterexample": ["--family-a", "0.5"],
+    "midpoint": ["--family-a", "1.0", "--a", "0.5"],
+    "extreme-check": ["--family-a", "1.0"],
+    "sharpen": ["--family-a", "1.0", "--z0", str(INV_SQRT3), "--delta0", "0.4"],
+    "functional": ["--family-a", "1.0", "--functional", "L.json"],
+    "certify-support": ["--family-a", "1.0", "--samples", "16"],
+    "bonk": ["--m", "2.0", "--samples", "100"],
+    "falsify": ["--family-a", "1.0", "--functional", "L.json"],
+    "decompose": ["--family-a", "1.0"],
+}
+IGNORED_OPTIONS = (
+    [(c, ["--tol", "1e-3"]) for c in ("beta", "mu-grid", "membership", "counterexample",
+                                      "midpoint", "sharpen", "functional", "bonk")]
+    + [(c, [flag, "7"]) for c in VALID_CALLS if c not in ("certify-support", "bonk")
+       for flag in ("--samples", "--seed")]
+    + [(c, ["--grid", "8x16"]) for c in VALID_CALLS if c not in ("beta", "mu-grid", "lambda")]
+    + [(c, ["--mapping", "f.json"]) for c in ("counterexample", "bonk")]
+    + [("bonk", ["--family-a", "1.0"])]
+)
+
+
+@pytest.mark.parametrize("command, option", IGNORED_OPTIONS,
+                         ids=[f"{c}{o[0]}" for c, o in IGNORED_OPTIONS])
+def test_option_the_subcommand_does_not_read_is_rejected(capsys, tmp_path, monkeypatch,
+                                                         command, option):
+    monkeypatch.chdir(tmp_path)
+    write_functional(tmp_path, "L.json", [[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0]])
+    code, out, err = run_cli(capsys, command, *VALID_CALLS[command], *option)
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -187,7 +187,7 @@ def test_sharpening_no_witness_on_level_curve():
     # sharpened bound fails on every punctured neighborhood and the search
     # must come back empty instead of reporting a grid artifact
     f = counterexample_family(1.0)
-    assert sharpening_exponent(f, INV_SQRT3, 0.5, max_halvings=6) is None
+    assert sharpening_exponent(f, INV_SQRT3, 0.5) is None
 
 
 def test_sharpening_verify_matches_search():
@@ -220,3 +220,9 @@ def test_membership_report_round_trip():
 def test_sharpening_radius_must_be_positive_and_finite(delta0):
     with pytest.raises(ValueError, match="delta0"):
         sharpening_exponent(IDENTITY, 0.0, delta0)
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_sharpening_needs_at_least_one_exponent(n_max):
+    with pytest.raises(ValueError, match="n_max"):
+        sharpening_exponent(IDENTITY, 0.0, 0.9, n_max)

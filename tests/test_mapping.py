@@ -276,7 +276,7 @@ def test_grid_arguments_get_their_own_memo_entry(monkeypatch):
     twin = HarmonicMapping(AnalyticSeries(f.h.coefficients), AnalyticSeries(f.g.coefficients))
     assert estimate_bloch_constant(twin, n_radii=32) == coarse
     calls = count_searches(monkeypatch)
-    estimate_bloch_constant(f, n_radii=32, n_starts=5)
+    estimate_bloch_constant(f, n_radii=32, n_angles=64)
     assert len(calls) == 1
 
 
