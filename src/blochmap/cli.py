@@ -72,11 +72,20 @@ def _json_default(v):
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
+# rows per "%" call of the CSV renderer
+CSV_BLOCK_ROWS = 4096
+
+
 def _render_csv(payload: dict) -> str:
-    # one %-format per row: "%.17g" writes the same text as format(x, ".17g")
+    # one %-format per block of rows: "%.17g" writes the same text as
+    # format(x, ".17g")
     row_format = ",".join(["%.17g"] * len(payload["header"]))
-    rows = np.asarray(payload["rows"], dtype=float).tolist()
-    return "\n".join([",".join(payload["header"])] + [row_format % tuple(r) for r in rows])
+    rows = np.asarray(payload["rows"], dtype=float)
+    lines = [",".join(payload["header"])]
+    for start in range(0, len(rows), CSV_BLOCK_ROWS):
+        block = rows[start:start + CSV_BLOCK_ROWS]
+        lines.append("\n".join([row_format] * len(block)) % tuple(block.ravel().tolist()))
+    return "\n".join(lines)
 
 
 def _render(result: CommandResult) -> str:

@@ -283,18 +283,29 @@ class SharpeningResult:
         }
 
 
-def _punctured_samples(z0: complex, delta: float, n_radii: int, n_angles: int,
-                       angle_offset: float = 0.0) -> np.ndarray:
+def _punctured_blocks(z0: complex, delta: float, n_radii: int, n_angles: int,
+                      angle_offset: float, rows: int):
+    """The punctured polar grid around z0, ``rows`` radius rows at a time,
+    with the points outside the disk cap dropped (a block may come out empty)."""
     radii = np.geomspace(delta * 1e-2, delta * (1.0 - 1e-9), n_radii)
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles + angle_offset
-    pts = (z0 + radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+    ring = np.exp(1j * angles)[None, :]
     # |pt| <= |z0| + |delta|, so when that sum clears the cap by 1e-9 (far
     # above rounding) the mask cannot drop a point; NaN input takes the mask
-    if not abs(z0) + abs(delta) <= 1.0 - 2e-9:
-        pts = pts[np.abs(pts) <= DISK_RADIUS_CAP]
-    if pts.size == 0:
-        raise ValueError("punctured neighborhood does not meet the open disk")
-    return pts
+    masked = not abs(z0) + abs(delta) <= 1.0 - 2e-9
+    for start in range(0, n_radii, rows):
+        pts = (z0 + radii[start:start + rows, None] * ring).ravel()
+        if masked:
+            pts = pts[np.abs(pts) <= DISK_RADIUS_CAP]
+        yield pts
+
+
+def _punctured_samples(z0: complex, delta: float, n_radii: int, n_angles: int,
+                       angle_offset: float = 0.0) -> np.ndarray:
+    for pts in _punctured_blocks(z0, delta, n_radii, n_angles, angle_offset, max(n_radii, 1)):
+        if pts.size:
+            return pts
+    raise ValueError("punctured neighborhood does not meet the open disk")
 
 
 def _sharpening_margins(f: HarmonicMapping, pts: np.ndarray, z0: complex, n: int) -> np.ndarray:
@@ -353,11 +364,21 @@ def sharpening_exponent(f: HarmonicMapping, z0, delta0: float, n_max: int = 8):
     return None
 
 
+# points (or samples) per block of the dense checks here and in
+# support.verify_bonk_constants: a block's temporaries stay within L2
+BLOCK_POINTS = 1 << 14
+
+
 def verify_sharpening(f: HarmonicMapping, result: SharpeningResult,
                       n_radii: int = 1000, n_angles: int = 1000) -> float:
     """Re-check a sharpening witness on an independent, denser, offset grid;
-    returns the minimal margin found there."""
-    pts = _punctured_samples(result.center, result.delta, n_radii, n_angles,
-                             angle_offset=np.pi / (2.0 * n_angles))
-    margins = _sharpening_margins(f, pts, result.center, result.exponent_n)
-    return float(margins.min())
+    returns the minimal margin found there.  The grid is built and reduced a
+    block of radius rows at a time, so memory stays O(BLOCK_POINTS + n_angles)."""
+    z0, n = result.center, result.exponent_n
+    blocks = _punctured_blocks(z0, result.delta, n_radii, n_angles,
+                               np.pi / (2.0 * n_angles), max(BLOCK_POINTS // n_angles, 1))
+    # np.min, unlike min, lets a NaN margin through
+    minima = [_sharpening_margins(f, pts, z0, n).min() for pts in blocks if pts.size]
+    if not minima:
+        raise ValueError("punctured neighborhood does not meet the open disk")
+    return float(np.min(minima))

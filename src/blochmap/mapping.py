@@ -436,6 +436,30 @@ def mapping_to_dict(f: HarmonicMapping) -> dict:
     }
 
 
+def _json_float(x, message: str) -> float:
+    # a JSON number parses to int or float; bool is an int subclass and
+    # float() would read a str, so both are refused
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        try:
+            return float(x)
+        except OverflowError:  # an integer literal beyond the float range
+            pass
+    raise ValueError(message)
+
+
+def _json_pairs(pairs, key: str) -> np.ndarray:
+    """A parsed JSON list of [re, im] number pairs as a complex array."""
+    if not isinstance(pairs, list):
+        raise ValueError(f"'{key}' must be a list of [re, im] pairs")
+    message = f"'{key}' entries must be [re, im] number pairs"
+    out = np.empty(len(pairs), dtype=complex)
+    for i, p in enumerate(pairs):
+        if not (isinstance(p, list) and len(p) == 2):
+            raise ValueError(message)
+        out[i] = complex(_json_float(p[0], message), _json_float(p[1], message))
+    return out
+
+
 def mapping_from_dict(data: dict) -> HarmonicMapping:
     if not isinstance(data, dict) or "h" not in data or "g" not in data:
         raise ValueError("mapping spec must be an object with 'h' and 'g' coefficient lists")
@@ -444,11 +468,10 @@ def mapping_from_dict(data: dict) -> HarmonicMapping:
         pairs = data[key]
         if not isinstance(pairs, list) or not pairs:
             raise ValueError(f"'{key}' must be a non-empty list of [re, im] pairs")
-        try:
-            coeffs = np.array([complex(float(p[0]), float(p[1])) for p in pairs])
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ValueError(f"'{key}' entries must be [re, im] number pairs") from exc
-        return AnalyticSeries(coeffs, data.get(tail_key))
+        tail = data.get(tail_key)
+        if tail is not None:
+            tail = _json_float(tail, f"'{tail_key}' must be a number or null")
+        return AnalyticSeries(_json_pairs(pairs, key), tail)
 
     return HarmonicMapping(series("h", "tail_bound_h"), series("g", "tail_bound_g"))
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from blochmap import AnalyticSeries, HarmonicMapping, save_mapping
+from blochmap import AnalyticSeries, HarmonicMapping, load_mapping, save_mapping
 from blochmap import cli
 from blochmap.cli import main
 
@@ -318,6 +318,68 @@ def test_error_malformed_functional(capsys, tmp_path):
                            "--functional", str(fpath))
     assert code == 1
     assert "malformed" in err
+
+
+# well-formed JSON that is not a mapping: only JSON numbers may stand for
+# coefficients and tail bounds, never bool, str or lists
+BIG_INT = "1" + "0" * 400
+MALFORMED_MAPPINGS = {
+    "tail-list": '{"h": [[0, 0], [1, 0]], "g": [[0, 0]], "tail_bound_h": [1]}',
+    "tail-true": '{"h": [[0, 0], [1, 0]], "g": [[0, 0]], "tail_bound_h": true}',
+    "tail-string": '{"h": [[0, 0], [1, 0]], "g": [[0, 0]], "tail_bound_g": "1e-3"}',
+    "tail-big-int": '{"h": [[0, 0], [1, 0]], "g": [[0, 0]], "tail_bound_h": %s}' % BIG_INT,
+    "string-coefficient": '{"h": [["1", 0]], "g": [[0, 0]]}',
+    "string-imaginary-part": '{"h": [[0, 0], [1, "0"]], "g": [[0, 0]]}',
+    "true-coefficient": '{"h": [[0, 0], [true, 0]], "g": [[0, 0]]}',
+    "false-in-g": '{"h": [[0, 0], [1, 0]], "g": [[0, 0], [false, 0]]}',
+    "string-pair": '{"h": [[0, 0], "10"], "g": [[0, 0]]}',
+    "three-numbers": '{"h": [[0, 0, 0], [1, 0]], "g": [[0, 0]]}',
+    "big-int-coefficient": '{"h": [[0, 0], [%s, 0]], "g": [[0, 0]]}' % BIG_INT,
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_MAPPINGS.values(), ids=MALFORMED_MAPPINGS.keys())
+def test_mapping_file_accepts_only_json_numbers(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "beta", "--mapping", str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "'h'" in err or "'g'" in err or "tail_bound" in err
+
+
+MALFORMED_FUNCTIONALS = {
+    "string-weight": '{"A": [["1", 0]], "B": []}',
+    "true-weight": '{"A": [[0, 0], [true, 0]], "B": []}',
+    "string-in-b": '{"A": [[0, 0], [1, 0]], "B": [[0, "1e-3"]]}',
+    "bare-number": '{"A": [[0, 0], [1, 0]], "B": [1]}',
+    "big-int-weight": '{"A": [[0, 0], [%s, 0]], "B": []}' % BIG_INT,
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_FUNCTIONALS.values(), ids=MALFORMED_FUNCTIONALS.keys())
+@pytest.mark.parametrize("command", ["functional", "falsify"])
+def test_functional_file_accepts_only_json_numbers(capsys, tmp_path, command, text):
+    mpath = write_mapping(tmp_path, "id.json", [0.0, 1.0], [0.0])
+    fpath = tmp_path / "L.json"
+    fpath.write_text(text)
+    code, out, err = run_cli(capsys, command, "--mapping", mpath, "--functional", str(fpath))
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "'A'" in err or "'B'" in err
+
+
+def test_integer_and_infinite_json_numbers_are_accepted(capsys, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text('{"h": [[0, 0], [1, 0]], "g": [[0, 0]], "tail_bound_h": 0}')
+    code, out, _ = run_cli(capsys, "beta", "--mapping", str(path))
+    assert code == 0
+    assert json.loads(out)["beta"] == 1.0
+    # an unbounded tail is a declared Infinity, which json reads as a float
+    path.write_text('{"h": [[0, 0], [0.5, 0]], "g": [[0, 0]], "tail_bound_h": Infinity}')
+    assert load_mapping(str(path)).h.tail_bound == float("inf")
 
 
 def test_error_bad_family_parameter(capsys):

@@ -3,8 +3,10 @@
 The vectorized kernels must return the same bits as the loops they replaced,
 the shared ``mu`` kernel the same bits as the per-caller copies it replaced,
 the two-iterations-per-call compass search the same walks as the one
-iteration per call it replaced, and the scalar Horner of ``eval_series`` the
-same bits as ``polyval_batch``: the pinned benchmark records compare
+iteration per call it replaced, the scalar Horner of ``eval_series`` the
+same bits as ``polyval_batch``, and the blocked dense checks of
+``verify_sharpening`` and ``verify_bonk_constants`` the same minima as the
+whole-array checks they replaced: the pinned benchmark records compare
 ``sample_max_other`` exactly, so these tests use exact equality, never a
 tolerance.
 """
@@ -474,7 +476,8 @@ def test_csv_renderer_matches_per_float_form_on_mu_grids():
         AnalyticSeries(0.02 * (rng.standard_normal(61) + 1j * rng.standard_normal(61))),
         AnalyticSeries(np.r_[0.0, 0.02 * (rng.standard_normal(60) + 1j * rng.standard_normal(60))]))
     for f in (poly60, FAMILY, IDENTITY):
-        for r, t in ((64, 128), (5, 7)):
+        # a grid has 1 + r*t rows: around the renderer's 4096-row blocks
+        for r, t in ((64, 128), (5, 7), (1, 4094), (1, 4095), (1, 4096)):
             payload = csv_payload(mapping.mu_grid_rows(f, r, t))
             assert cli._render_csv(payload) == reference_render_csv(payload)
 
@@ -886,3 +889,129 @@ def test_one_off_grids_stay_out_of_the_cache():
     grid = reference_polar_grid(7, 13)
     assert same_raw_bits(rows[:, 0], grid.real) and same_raw_bits(rows[:, 1], grid.imag)
     assert same_raw_bits(rows[:, 2], reference_derivative_values(FAMILY)(grid))
+
+
+# the one-shot dense checks, kept as references for the blocked ones
+
+def reference_verify_sharpening(f, result, n_radii=1000, n_angles=1000):
+    # the whole offset grid at once, then one min
+    z0, delta = result.center, result.delta
+    radii = np.geomspace(delta * 1e-2, delta * (1.0 - 1e-9), n_radii)
+    angles = 2.0 * np.pi * np.arange(n_angles) / n_angles + np.pi / (2.0 * n_angles)
+    pts = (z0 + radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+    if not abs(z0) + abs(delta) <= 1.0 - 2e-9:
+        pts = pts[np.abs(pts) <= DISK_RADIUS_CAP]
+    if pts.size == 0:
+        raise ValueError("punctured neighborhood does not meet the open disk")
+    return float(extremal._sharpening_margins(f, pts, z0, result.exponent_n).min())
+
+
+def reference_verify_bonk_constants(constants, n_samples=10 ** 6, seed=0):
+    # every eps draw, then every r draw, as whole arrays
+    rng = np.random.default_rng(seed)
+    eps = rng.uniform(0.0, constants.epsilon1, n_samples)
+    eps = np.maximum(eps, 1e-12)
+    r = rng.uniform(constants.R, DISK_RADIUS_CAP, n_samples)
+    ratio = (1.0 - r * r) / (1.0 - (1.0 - eps) ** 2 * r * r)
+    return float((1.0 - eps * constants.M - ratio).min())
+
+
+def dense_check_mappings():
+    rng = np.random.default_rng(800)
+    out = {"identity": IDENTITY, "co-identity": CO_IDENTITY, "family": FAMILY}
+    for degree in (8, 60):
+        h, _, _, g, _ = scalar_coefficients(degree, rng)
+        out[f"degree-{degree}"] = HarmonicMapping(AnalyticSeries(h / degree),
+                                                  AnalyticSeries(g / degree))
+    return out
+
+
+DENSE_MAPPINGS = dense_check_mappings()
+# (center, delta, n): an inner witness, one on the family's level circle, and
+# two whose neighbourhoods cross the disk cap, so the mask drops points
+WITNESSES = [(0j, 0.45, 2), (INV_SQRT3 * np.exp(0.4j), 0.1, 3), (0.9 + 0j, 0.2, 1),
+             (-0.99j, 0.05, 5)]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (37, 41), (7, 33000), (1000, 1000)],
+                         ids=["1x1", "37x41", "7x33000", "1000x1000"])
+@pytest.mark.parametrize("name", DENSE_MAPPINGS)
+def test_blocked_sharpening_check_matches_one_shot(name, shape):
+    f = DENSE_MAPPINGS[name]
+    # the full grid costs a 10^6-point Horner per witness; two witnesses cover
+    # both mask paths there
+    witnesses = WITNESSES[::2] if shape == (1000, 1000) else WITNESSES
+    for center, delta, n in witnesses:
+        w = extremal.SharpeningResult(n, delta, 0.1, complex(center))
+        got = extremal.verify_sharpening(f, w, *shape)
+        assert bits(complex(got)) == bits(complex(reference_verify_sharpening(f, w, *shape)))
+
+
+@pytest.mark.parametrize("center, delta", [(1.0 + 0j, 1e-10), (2.0 + 0j, 0.5),
+                                           (0j, float("nan")), (-1j, 1e-12)])
+@pytest.mark.parametrize("shape", [(1, 1), (37, 41), (7, 33000), (1000, 1000)],
+                         ids=["1x1", "37x41", "7x33000", "1000x1000"])
+def test_blocked_sharpening_check_with_every_point_masked(center, delta, shape):
+    w = extremal.SharpeningResult(2, delta, 0.1, center)
+    for check in (extremal.verify_sharpening, reference_verify_sharpening):
+        with pytest.raises(ValueError, match="open disk"):
+            check(IDENTITY, w, *shape)
+
+
+def test_blocked_sharpening_check_lets_a_nan_margin_through(monkeypatch):
+    margins = extremal._sharpening_margins
+
+    def outer_ring_nan(f, pts, z0, n):
+        # a NaN margin on the outermost radius only, which the last block holds
+        out = margins(f, pts, z0, n)
+        out[np.abs(pts - z0) > 0.449] = np.nan
+        return out
+
+    monkeypatch.setattr(extremal, "_sharpening_margins", outer_ring_nan)
+    w = extremal.SharpeningResult(2, 0.45, 0.1, 0j)
+    assert np.isnan(reference_verify_sharpening(IDENTITY, w))
+    assert np.isnan(extremal.verify_sharpening(IDENTITY, w))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (37, 41), (7, 33000), (1000, 1000)],
+                         ids=["1x1", "37x41", "7x33000", "1000x1000"])
+def test_sharpening_blocks_tile_the_one_shot_grid(monkeypatch, shape):
+    seen = []
+    margins = extremal._sharpening_margins
+
+    def recording(f, pts, z0, n):
+        seen.append(pts)
+        return margins(f, pts, z0, n)
+
+    monkeypatch.setattr(extremal, "_sharpening_margins", recording)
+    n_radii, n_angles = shape
+    for center, delta, n in WITNESSES:
+        seen.clear()
+        extremal.verify_sharpening(IDENTITY, extremal.SharpeningResult(n, delta, 0.1, center),
+                                   *shape)
+        want = reference_punctured_samples(center, delta, n_radii, n_angles,
+                                           np.pi / (2.0 * n_angles))
+        assert same_raw_bits(np.concatenate(seen), want)
+        assert max(b.size for b in seen) <= max(extremal.BLOCK_POINTS, n_angles)
+
+
+BLOCK = extremal.BLOCK_POINTS
+
+
+@pytest.mark.parametrize("n_samples", [1, BLOCK - 1, BLOCK, BLOCK + 1, 10 ** 6])
+@pytest.mark.parametrize("M", [0.0, 0.3, 3.7, 1e6])
+def test_blocked_bonk_check_matches_one_shot(M, n_samples):
+    bc = support.bonk_constants(M)
+    for seed in (0, 17):
+        got = support.verify_bonk_constants(bc, n_samples, seed)
+        assert bits(complex(got)) == bits(complex(reference_verify_bonk_constants(bc, n_samples, seed)))
+
+
+def test_dense_checks_use_a_quarter_of_the_one_shot_memory():
+    for center, delta, n in WITNESSES[::2]:
+        w = extremal.SharpeningResult(n, delta, 0.1, complex(center))
+        assert peak_bytes(extremal.verify_sharpening, FAMILY, w) < \
+            peak_bytes(reference_verify_sharpening, FAMILY, w) / 4
+    bc = support.bonk_constants(3.7)
+    assert peak_bytes(support.verify_bonk_constants, bc, 10 ** 6) < \
+        peak_bytes(reference_verify_bonk_constants, bc, 10 ** 6) / 4
