@@ -345,7 +345,9 @@ def run(argv) -> CommandResult:
             result.text = _render(result)
             if result.out_path:
                 with open(result.out_path, "w", encoding="utf-8") as fh:
-                    fh.write(result.text + "\n")
+                    # two writes: text + "\n" would copy a multi-megabyte CSV
+                    fh.write(result.text)
+                    fh.write("\n")
         return result
     except (_ArgumentError, ValueError, RuntimeError, OSError) as exc:
         return CommandResult("ERROR", None, [str(exc)])

@@ -308,9 +308,14 @@ def _punctured_samples(z0: complex, delta: float, n_radii: int, n_angles: int,
     raise ValueError("punctured neighborhood does not meet the open disk")
 
 
-def _sharpening_margins(f: HarmonicMapping, pts: np.ndarray, z0: complex, n: int) -> np.ndarray:
-    # the weight multiplies the whole sum; distributing it would round differently
-    deriv = _abs_sum(differentiate(f.h).coefficients, differentiate(f.g).coefficients, pts)
+def _derivative_coefficients(f: HarmonicMapping):
+    return differentiate(f.h).coefficients, differentiate(f.g).coefficients
+
+
+def _sharpening_margins(derivatives, pts: np.ndarray, z0: complex, n: int) -> np.ndarray:
+    # derivatives = (h', g') coefficients; the weight multiplies the whole
+    # sum, and distributing it would round differently
+    deriv = _abs_sum(*derivatives, pts)
     mob = np.abs((pts - z0) / (1.0 - np.conj(z0) * pts))
     return 1.0 - (deriv + mob ** n) * _disk_weight(pts)
 
@@ -348,11 +353,12 @@ def sharpening_exponent(f: HarmonicMapping, z0, delta0: float, n_max: int = 8):
     base = _punctured_samples(z0, delta0, *SEARCH_GRID)
     if not bool((_mu_values(f)(base) < 1.0 - 1e-12).all()):
         raise ValueError("mu must stay below one on the punctured neighborhood")
+    derivatives = _derivative_coefficients(f)
     delta = delta0
     for _ in range(MAX_HALVINGS + 1):
         pts = base if delta == delta0 else _punctured_samples(z0, delta, *SEARCH_GRID)
         for n in range(1, n_max + 1):
-            margins = _sharpening_margins(f, pts, z0, n)
+            margins = _sharpening_margins(derivatives, pts, z0, n)
             worst = float(margins.min())
             if worst <= MARGIN_FLOOR:
                 continue
@@ -377,8 +383,9 @@ def verify_sharpening(f: HarmonicMapping, result: SharpeningResult,
     z0, n = result.center, result.exponent_n
     blocks = _punctured_blocks(z0, result.delta, n_radii, n_angles,
                                np.pi / (2.0 * n_angles), max(BLOCK_POINTS // n_angles, 1))
+    derivatives = _derivative_coefficients(f)
     # np.min, unlike min, lets a NaN margin through
-    minima = [_sharpening_margins(f, pts, z0, n).min() for pts in blocks if pts.size]
+    minima = [_sharpening_margins(derivatives, pts, z0, n).min() for pts in blocks if pts.size]
     if not minima:
         raise ValueError("punctured neighborhood does not meet the open disk")
     return float(np.min(minima))

@@ -73,7 +73,7 @@ def compass_maximize(evaluate, starts, initial_step, *, step_tol=1e-10,
     evaluation: ``mapping._weighted_abs_sum``, which ``maximize_on_disk``,
     the level-set search of ``lambda_set`` and ``sup_modulus`` and the
     touching-point refinement of ``support_certificate`` maximize, and the
-    routed ``mu_rows`` of ``support._batch_beta``.
+    routed ``mu_rows`` of ``support._batch_ratio_max``.
     """
     z = np.array(starts, dtype=complex)
     walkers = None if walkers is None else np.asarray(walkers)

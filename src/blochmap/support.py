@@ -253,13 +253,20 @@ class PointDerivativeFunctional:
 class SupportCertificate:
     """Numerical witness that a mapping supports a linear functional over the
     normalized unit ball: the functional's value at the mapping dominates its
-    value over every sampled member."""
+    value over every sampled member.
+
+    ``closed_form_bound`` is S0/(1-|z0|^2) with S0 = |h'(z0)| + |g'(z0)|.  The
+    functional's weight has modulus S0, so |L(q)| <= S0 (|s'(z0)| + |t'(z0)|)
+    = S0 mu_q(z0)/(1-|z0|^2) for every member q, and no ratio |L(q)|/beta_q
+    can pass it; nor can a sampled one, whose beta is seeded at z0.
+    ``attained_value`` is S0^2, so the two differ by the factor mu_f(z0)."""
 
     z0: complex
     theta0: float
     functional: PointDerivativeFunctional
     attained_value: float
     sample_max_other: float
+    closed_form_bound: float
     samples: int
     seed: int
     lambda_classification: str = ""
@@ -277,6 +284,7 @@ class SupportCertificate:
             "attained_value": self.attained_value,
             "sample_max_other": self.sample_max_other,
             "margin": self.margin,
+            "closed_form_bound": self.closed_form_bound,
             "samples": self.samples,
             "seed": self.seed,
             "lambda_classification": self.lambda_classification,
@@ -338,13 +346,27 @@ def _trimmed_side(d: np.ndarray):
     return values
 
 
-def _batch_beta(h_rows: np.ndarray, g_rows: np.ndarray, z0: complex,
-                rng: np.random.Generator) -> np.ndarray:
-    """Bloch constants of many coefficient-row mappings in one lockstep sweep.
+def _batch_ratio_max(h_rows: np.ndarray, g_rows: np.ndarray, z0: complex,
+                     rng: np.random.Generator, lvals: np.ndarray, n_aligned: int) -> float:
+    """Largest functional-to-Bloch-constant ratio ``lvals / beta`` over the
+    coefficient rows of one sample chunk, computed by an exact branch and
+    bound.
 
-    Each row is seeded at z0, a coarse polar-grid argmax, and one random
-    point.  Seeding at z0 makes every returned value at least the row's mu
-    there, which is what the certificate's sample bound leans on.
+    Each row's beta is the best of three lockstep compass walks, seeded at
+    z0, at a coarse polar-grid argmax and at one random point.  Seeding at z0
+    makes every beta at least the row's mu there, which is what the
+    certificate's sample bound leans on.
+
+    The compass accepts only strict increases, so a walk's start value v is
+    a lower bound on its row's beta, and float division is monotone, so
+    fl(L/beta) <= fl(L/v).  The first ``n_aligned`` rows (the aligned
+    stratum, which reaches the maximum) run in full and their largest ratio
+    is the cut.  Every other row is bounded by its z0 and random starts, then
+    by its grid start, and runs the compass only while its bound exceeds the
+    cut.  A NaN bound never compares at most the cut, so such a row always
+    runs.  The aligned rows have finite L and beta at least mu(z0) > 0, so
+    the cut is finite, and the result is the maximum the full sweep returns,
+    to the last bit.
 
     Each side of a row runs Horner only from its last nonzero derivative
     coefficient down.  The full-width Horner keeps its accumulator at exactly
@@ -370,16 +392,35 @@ def _batch_beta(h_rows: np.ndarray, g_rows: np.ndarray, z0: complex,
 
     grid = polar_grid(12, 24)
     vander = grid[:, None] ** np.arange(k - 1)[None, :]
-    mu_grid = (1.0 - np.abs(grid) ** 2)[None, :] * (
-        np.abs(np.einsum("nk,gk->ng", dh, vander))
-        + np.abs(np.einsum("nk,gk->ng", dg, vander)))
-    best = grid[np.argmax(mu_grid, axis=1)]
+
+    def grid_argmax(rows):
+        mu_grid = (1.0 - np.abs(grid) ** 2)[None, :] * (
+            np.abs(np.einsum("nk,gk->ng", dh[rows], vander))
+            + np.abs(np.einsum("nk,gk->ng", dg[rows], vander)))
+        return grid[np.argmax(mu_grid, axis=1)]
+
+    def ratios(rows, best):
+        starts = np.concatenate([np.full(rows.size, complex(z0)), best, extra[rows]])
+        _, vals = compass_maximize(mu_rows, starts, 0.1, step_tol=1e-9,
+                                   max_iter=400, walkers=np.tile(rows, 3))
+        return lvals[rows] / vals.reshape(3, rows.size).max(axis=0)
+
+    # drawn for every row, so the stream does not depend on what is skipped
     extra = rng.uniform(0.05, 0.9, n) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
-    starts = np.concatenate([np.full(n, complex(z0)), best, extra])
-    walkers = np.tile(np.arange(n), 3)
-    _, vals = compass_maximize(mu_rows, starts, 0.1, step_tol=1e-9,
-                               max_iter=400, walkers=walkers)
-    return vals.reshape(3, n).max(axis=0)
+    head = np.arange(n_aligned)
+    found = ratios(head, grid_argmax(head))
+    cut = found.max(initial=-np.inf)
+    rest = np.arange(n_aligned, n)
+    start = np.maximum(mu_rows(np.full(rest.size, complex(z0)), rest),
+                       mu_rows(extra[rest], rest))
+    # a zero start bounds its row by inf or NaN, which keeps it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rest = rest[~(lvals[rest] / start <= cut)]
+        best = grid_argmax(rest)
+        keep = ~(lvals[rest] / mu_rows(best, rest) <= cut)
+    if keep.any():
+        found = np.concatenate([found, ratios(rest[keep], best[keep])])
+    return float(found.max())
 
 
 def _draw_sample_rows(f: HarmonicMapping, z0: complex, count: int, columns: int,
@@ -511,16 +552,17 @@ def support_certificate(f: HarmonicMapping, samples: int = 10000, seed: int = 0,
         h_rows, g_rows, labels = _draw_sample_rows(f, z0, chunk, columns, rng)
         lvals = np.abs(weight * (_serial_matvec(h_rows, dvec)
                                   + phase * np.conj(_serial_matvec(g_rows, dvec))))
-        betas = _batch_beta(h_rows, g_rows, z0, rng)
-        sample_max = max(sample_max, float((lvals / betas).max()))
+        sample_max = max(sample_max, _batch_ratio_max(h_rows, g_rows, z0, rng, lvals,
+                                                      labels.count("aligned")))
         for name in labels:
             strata[name] = strata.get(name, 0) + 1
         done += chunk
 
     if sample_max > attained + 1e-8:
         raise RuntimeError("a sampled ball member exceeded the certified value")
+    bound = (abs(hp0) + abs(gp0)) / (1.0 - abs(z0) ** 2)
     return SupportCertificate(z0, float(theta0), functional, attained,
-                              float(sample_max), samples, seed,
+                              float(sample_max), bound, samples, seed,
                               lam.classification.value, strata)
 
 

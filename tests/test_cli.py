@@ -264,6 +264,17 @@ def test_output_file_option(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command", [["beta", "--family-a", "1.0"],
+                                     ["certify-support", "--family-a", "0.75", "--samples", "64"],
+                                     ["mu-grid", "--family-a", "1.0", "--grid", "160x320"]],
+                         ids=["json", "certificate", "csv"])
+def test_output_file_holds_the_printed_bytes(capsys, tmp_path, command):
+    code, printed, _ = run_cli(capsys, *command)
+    out_path = tmp_path / "payload.out"
+    assert run_cli(capsys, *command, "--out", str(out_path))[:2] == (code, "")
+    assert out_path.read_bytes() == printed.encode("utf-8")
+
+
+@pytest.mark.parametrize("command", [["beta", "--family-a", "1.0"],
                                      ["mu-grid", "--family-a", "1.0", "--grid", "2x4"]],
                          ids=["json", "csv"])
 def test_unwritable_output_file_is_a_one_line_error(capsys, tmp_path, command):

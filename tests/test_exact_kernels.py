@@ -4,9 +4,10 @@ The vectorized kernels must return the same bits as the loops they replaced,
 the shared ``mu`` kernel the same bits as the per-caller copies it replaced,
 the two-iterations-per-call compass search the same walks as the one
 iteration per call it replaced, the scalar Horner of ``eval_series`` the
-same bits as ``polyval_batch``, and the blocked dense checks of
-``verify_sharpening`` and ``verify_bonk_constants`` the same minima as the
-whole-array checks they replaced: the pinned benchmark records compare
+same bits as ``polyval_batch``, the bound-pruned certificate sampler the
+same chunk maximum as the full sweep over every row, and the blocked dense
+checks of ``verify_sharpening`` and ``verify_bonk_constants`` the same minima
+as the whole-array checks they replaced: the pinned benchmark records compare
 ``sample_max_other`` exactly, so these tests use exact equality, never a
 tolerance.
 """
@@ -62,8 +63,9 @@ def reference_compass_maximize(evaluate, starts, initial_step, *, step_tol=1e-10
     return z, v
 
 
-def reference_batch_beta(h_rows, g_rows, z0, rng, step_tol=1e-9):
-    # full-width per-term Horner and a BLAS grid pass
+def reference_batch_beta(h_rows, g_rows, z0, rng, step_tol=1e-9, max_iter=400):
+    # every row's full compass sweep, with a full-width per-term Horner and a
+    # BLAS grid pass; max_iter=0 returns the best start value of each row
     n, k = h_rows.shape
     ks = np.arange(1, k)
     dh = h_rows[:, 1:] * ks
@@ -87,8 +89,13 @@ def reference_batch_beta(h_rows, g_rows, z0, rng, step_tol=1e-9):
     starts = np.concatenate([np.full(n, complex(z0)), best, extra])
     walkers = np.tile(np.arange(n), 3)
     _, vals = reference_compass_maximize(mu_rows, starts, 0.1, step_tol=step_tol,
-                                         max_iter=400, walkers=walkers)
+                                         max_iter=max_iter, walkers=walkers)
     return vals.reshape(3, n).max(axis=0)
+
+
+def reference_ratio_max(h_rows, g_rows, z0, rng, lvals, n_aligned):
+    # the unpruned chunk maximum: every row's beta, then every ratio
+    return float((lvals / reference_batch_beta(h_rows, g_rows, z0, rng)).max())
 
 
 def reference_single_linkage(pts, radius):
@@ -120,10 +127,25 @@ def reference_dedupe_best(pts, vals, radius):
     return pts[idx], vals[idx]
 
 
-def same_beta(h_rows, g_rows, z0, seed):
-    got = support._batch_beta(h_rows, g_rows, z0, np.random.default_rng(seed))
-    want = reference_batch_beta(h_rows, g_rows, z0, np.random.default_rng(seed))
-    return np.array_equal(got, want)
+def certificate_lvals(f, h_rows, g_rows, z0):
+    # |L(q)| of each row for the functional support_certificate aligns at z0
+    hp0 = eval_series(differentiate(f.h), z0)
+    gp0 = eval_series(differentiate(f.g), z0)
+    theta0 = np.angle(hp0) + np.angle(gp0) if gp0 != 0 else 0.0
+    weight = np.conj(hp0) + np.exp(-1j * theta0) * gp0
+    k = np.arange(1, h_rows.shape[1])
+    dvec = np.r_[0.0, k * complex(z0) ** (k - 1)]
+    matvec = support._serial_matvec
+    return np.abs(weight * (matvec(h_rows, dvec) + np.exp(1j * theta0) * np.conj(matvec(g_rows, dvec))))
+
+
+def same_ratio_max(h_rows, g_rows, z0, seed, lvals, n_aligned):
+    # the same maximum, and the same draws: later chunks read the stream on
+    rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = support._batch_ratio_max(h_rows, g_rows, z0, rng_got, lvals, n_aligned)
+    want = reference_ratio_max(h_rows, g_rows, z0, rng_want, lvals, n_aligned)
+    return (np.array_equal(got, want, equal_nan=True)
+            and rng_got.bit_generator.state == rng_want.bit_generator.state)
 
 
 @pytest.fixture(scope="module")
@@ -145,12 +167,29 @@ def test_batch_beta_matches_reference_across_strata(family_chunk, size):
         # every stratum represented
         idx = np.union1d(idx, [np.flatnonzero(labels == name)[0] for name in
                                ("aligned", "random_poly", "mobius", "mixture")])[:size]
-    assert same_beta(h[idx], g[idx], z0, size)
+    h, g, labels = h[idx], g[idx], labels[idx]
+    n_aligned = int(np.count_nonzero(labels == "aligned"))
+    lvals = certificate_lvals(FAMILY, h, g, z0)
+    assert same_ratio_max(h, g, z0, size, lvals, n_aligned)
+    # other rows setting the maximum, and no aligned rows to cut with
+    boosted = lvals * rng.uniform(0.5, 3.0, size)
+    assert same_ratio_max(h, g, z0, size, boosted, n_aligned)
+    assert same_ratio_max(h, g, z0, size, boosted, 0)
 
 
 def test_batch_beta_identity_chunk_matches_reference():
-    h, g, _ = support._draw_sample_rows(IDENTITY, 0j, 128, 61, np.random.default_rng(3))
-    assert same_beta(h, g, 0j, 3)
+    h, g, labels = support._draw_sample_rows(IDENTITY, 0j, 128, 61, np.random.default_rng(3))
+    assert same_ratio_max(h, g, 0j, 3, certificate_lvals(IDENTITY, h, g, 0j), 16)
+
+
+@pytest.mark.parametrize("f,z0", [(IDENTITY, 0j), (CO_IDENTITY, 0j),
+                                  (FAMILY, complex(INV_SQRT3 * np.exp(2.1j)))],
+                         ids=["identity", "co-identity", "family"])
+@pytest.mark.parametrize("size", [1, 16, 22, 128, 512])
+def test_ratio_max_full_chunks_match_reference(f, z0, size):
+    h, g, labels = support._draw_sample_rows(f, z0, size, 61, np.random.default_rng(size))
+    lvals = certificate_lvals(f, h, g, z0)
+    assert same_ratio_max(h, g, z0, 3, lvals, labels.count("aligned"))
 
 
 def test_batch_beta_one_sided_rows():
@@ -162,7 +201,9 @@ def test_batch_beta_one_sided_rows():
     g[8:16] = 0.0          # pure analytic rows
     h[16:, 5:] = 0.0       # low-degree h against a full-degree g
     g[20:, 1:] = 0.0       # constant-only g: a zero derivative side
-    assert same_beta(h, g, 0.2 + 0.1j, 11)
+    lvals = rng.uniform(0.0, 3.0, 24)
+    for n_aligned in (0, 1, 4, 24):
+        assert same_ratio_max(h, g, 0.2 + 0.1j, 11, lvals, n_aligned)
 
 
 def test_batch_beta_wide_mapping():
@@ -170,16 +211,79 @@ def test_batch_beta_wide_mapping():
     f = HarmonicMapping(
         AnalyticSeries(np.r_[0.0, 0.02 * rng.standard_normal(79)]),
         AnalyticSeries(np.r_[0.0, 0.02j * rng.standard_normal(79)]))
-    h, g, _ = support._draw_sample_rows(f, 0.1j, 96, 80, np.random.default_rng(12))
+    h, g, labels = support._draw_sample_rows(f, 0.1j, 96, 80, np.random.default_rng(12))
     assert h.shape[1] == 80
-    assert same_beta(h, g, 0.1j, 12)
+    lvals = certificate_lvals(f, h, g, 0.1j)
+    assert same_ratio_max(h, g, 0.1j, 12, lvals, labels.count("aligned"))
+
+
+def test_ratio_max_keeps_nan_bounds(family_chunk):
+    # a NaN functional value bounds its row by NaN, which must never be
+    # skipped: the unpruned maximum reads NaN, so the pruned one must too
+    h, g, labels, z0 = family_chunk
+    lvals = certificate_lvals(FAMILY, h, g, z0)
+    for row in (16, 300, 511):
+        nan_row = lvals.copy()
+        nan_row[row] = np.nan
+        got = support._batch_ratio_max(h, g, z0, np.random.default_rng(2), nan_row, 16)
+        assert np.isnan(got)
+    # an all-zero row: both its start values and its L vanish, 0/0 is NaN
+    h0, g0 = h[:40].copy(), g[:40].copy()
+    h0[30] = g0[30] = 0.0
+    zero = certificate_lvals(FAMILY, h0, g0, z0)
+    with np.errstate(invalid="ignore"):
+        assert same_ratio_max(h0, g0, z0, 2, zero, 16)
+        assert np.isnan(support._batch_ratio_max(h0, g0, z0, np.random.default_rng(2), zero, 16))
+
+
+@pytest.mark.parametrize("boost", [1.0, 1.2])
+def test_ratio_max_runs_compass_only_on_surviving_rows(family_chunk, monkeypatch, boost):
+    h, g, labels, z0 = family_chunk
+    lvals = certificate_lvals(FAMILY, h, g, z0)
+    # boosted rows beat the cut now and then, so some of them survive
+    lvals[16:] *= boost
+    # the bound each row's best start value gives, and the aligned rows' cut
+    start = reference_batch_beta(h, g, z0, np.random.default_rng(5), max_iter=0)
+    betas = reference_batch_beta(h, g, z0, np.random.default_rng(5))
+    cut = (lvals[:16] / betas[:16]).max()
+    surviving = int(np.count_nonzero(~(lvals[16:] / start[16:] <= cut)))
+    walkers = []
+
+    def counting(evaluate, starts, *args, **kwargs):
+        walkers.append(len(starts))
+        return compass_maximize(evaluate, starts, *args, **kwargs)
+
+    monkeypatch.setattr(support, "compass_maximize", counting)
+    got = support._batch_ratio_max(h, g, z0, np.random.default_rng(5), lvals, 16)
+    assert got == (lvals / betas).max()
+    assert walkers[0] == 3 * 16
+    assert sum(walkers) <= 3 * (16 + surviving)
+    assert surviving < (512 - 16) // 4
+    assert (surviving > 0) == (boost > 1.0)
+
+
+def test_einsum_grid_pass_on_row_subsets_matches_whole_chunk(family_chunk):
+    # the grid pass runs only on the rows left after the first bound; its
+    # rows must be the rows of the whole-chunk pass, bit for bit
+    h, _, _, _ = family_chunk
+    grid = polar_grid(12, 24)
+    rng = np.random.default_rng(21)
+    for columns in (61, 80):
+        d = np.zeros((h.shape[0], columns - 1), dtype=complex)
+        d[:, :60] = h[:, 1:] * np.arange(1, 61)
+        d[:, 60:] = rng.standard_normal((h.shape[0], columns - 61))
+        vander = grid[:, None] ** np.arange(columns - 1)[None, :]
+        whole = np.einsum("nk,gk->ng", d, vander)
+        for size in (0, 1, 2, 17, 255, 511, 512):
+            rows = np.sort(rng.choice(h.shape[0], size, replace=False))
+            assert np.array_equal(np.einsum("nk,gk->ng", d[rows], vander), whole[rows])
 
 
 @pytest.mark.parametrize("f", [IDENTITY, CO_IDENTITY, FAMILY],
                          ids=["identity", "co-identity", "family"])
 def test_certificate_unchanged_by_kernel(f, monkeypatch):
     fast = support_certificate(f, 128, 4)
-    monkeypatch.setattr(support, "_batch_beta", reference_batch_beta)
+    monkeypatch.setattr(support, "_batch_ratio_max", reference_ratio_max)
     slow = support_certificate(f, 128, 4)
     assert fast.sample_max_other == slow.sample_max_other
     assert fast.z0 == slow.z0
@@ -414,7 +518,8 @@ def check_mu_kernel(f, pts):
             assert bits(eval_series(differentiate(s), z)) == bits(reference_series_derivative_at(s, z))
     for n in (1, 2, 5):
         for z0 in (0j, pts[3], pts[-1]):
-            assert same_array_bits(extremal._sharpening_margins(f, pts, z0, n),
+            derivatives = extremal._derivative_coefficients(f)
+            assert same_array_bits(extremal._sharpening_margins(derivatives, pts, z0, n),
                                    reference_sharpening_margins(f, pts, z0, n))
 
 
@@ -438,7 +543,8 @@ def test_sharpening_margins_on_punctured_samples():
     for f, center in ((IDENTITY, 0j), (FAMILY, z0)):
         pts = extremal._punctured_samples(center, 0.3, 48, 96)
         for n in range(1, 9):
-            assert same_array_bits(extremal._sharpening_margins(f, pts, center, n),
+            derivatives = extremal._derivative_coefficients(f)
+            assert same_array_bits(extremal._sharpening_margins(derivatives, pts, center, n),
                                    reference_sharpening_margins(f, pts, center, n))
 
 
@@ -903,7 +1009,8 @@ def reference_verify_sharpening(f, result, n_radii=1000, n_angles=1000):
         pts = pts[np.abs(pts) <= DISK_RADIUS_CAP]
     if pts.size == 0:
         raise ValueError("punctured neighborhood does not meet the open disk")
-    return float(extremal._sharpening_margins(f, pts, z0, result.exponent_n).min())
+    derivatives = extremal._derivative_coefficients(f)
+    return float(extremal._sharpening_margins(derivatives, pts, z0, result.exponent_n).min())
 
 
 def reference_verify_bonk_constants(constants, n_samples=10 ** 6, seed=0):
@@ -961,9 +1068,9 @@ def test_blocked_sharpening_check_with_every_point_masked(center, delta, shape):
 def test_blocked_sharpening_check_lets_a_nan_margin_through(monkeypatch):
     margins = extremal._sharpening_margins
 
-    def outer_ring_nan(f, pts, z0, n):
+    def outer_ring_nan(derivatives, pts, z0, n):
         # a NaN margin on the outermost radius only, which the last block holds
-        out = margins(f, pts, z0, n)
+        out = margins(derivatives, pts, z0, n)
         out[np.abs(pts - z0) > 0.449] = np.nan
         return out
 
@@ -973,15 +1080,35 @@ def test_blocked_sharpening_check_lets_a_nan_margin_through(monkeypatch):
     assert np.isnan(extremal.verify_sharpening(IDENTITY, w))
 
 
+def test_sharpening_checks_differentiate_once(monkeypatch):
+    # one (h', g') pair per call, however many blocks or (n, delta) tries
+    calls = []
+    derive = extremal.differentiate
+
+    def counting(s):
+        calls.append(s)
+        return derive(s)
+
+    monkeypatch.setattr(extremal, "differentiate", counting)
+    extremal.verify_sharpening(IDENTITY, extremal.SharpeningResult(2, 0.45, 0.1, 0j))
+    assert len(calls) == 2
+    calls.clear()
+    # n = 1 fails on the search grid, so two exponents are tried, then one
+    # dense check confirms n = 2
+    res = extremal.sharpening_exponent(IDENTITY, 0j, 0.45)
+    assert res.exponent_n == 2
+    assert len(calls) == 4
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (37, 41), (7, 33000), (1000, 1000)],
                          ids=["1x1", "37x41", "7x33000", "1000x1000"])
 def test_sharpening_blocks_tile_the_one_shot_grid(monkeypatch, shape):
     seen = []
     margins = extremal._sharpening_margins
 
-    def recording(f, pts, z0, n):
+    def recording(derivatives, pts, z0, n):
         seen.append(pts)
-        return margins(f, pts, z0, n)
+        return margins(derivatives, pts, z0, n)
 
     monkeypatch.setattr(extremal, "_sharpening_margins", recording)
     n_radii, n_angles = shape

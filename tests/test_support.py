@@ -231,9 +231,9 @@ def test_support_certificate_margin_bound(monkeypatch):
         assert -1e-8 <= cert.margin <= 1e-12
         assert cert.to_dict()["margin"] == cert.margin
     # a sampled member beyond the bound is an error, not a certificate
-    batch_beta = support._batch_beta
-    monkeypatch.setattr(support, "_batch_beta",
-                        lambda *args, **kwargs: batch_beta(*args, **kwargs) * (1.0 - 1e-8))
+    ratio_max = support._batch_ratio_max
+    monkeypatch.setattr(support, "_batch_ratio_max",
+                        lambda *args, **kwargs: ratio_max(*args, **kwargs) / (1.0 - 1e-8))
     with pytest.raises(RuntimeError, match="exceeded the certified value"):
         support_certificate(f, 128, 0)
 
@@ -253,7 +253,11 @@ def test_support_certificate_closed_form_bound(f, seed):
     cert = support_certificate(f, samples=256, seed=seed)
     z0 = cert.z0
     s0 = abs(eval_series(differentiate(f.h), z0)) + abs(eval_series(differentiate(f.g), z0))
-    assert cert.sample_max_other <= s0 / (1.0 - abs(z0) ** 2) * (1.0 + 1e-12)
+    assert cert.closed_form_bound == s0 / (1.0 - abs(z0) ** 2)
+    assert cert.to_dict()["closed_form_bound"] == cert.closed_form_bound
+    assert cert.sample_max_other <= cert.closed_form_bound * (1.0 + 1e-12)
+    # L(f) = S0^2, so attained / bound is mu_f(z0), one on the level set
+    assert cert.attained_value / cert.closed_form_bound == pytest.approx(1.0, abs=1e-8)
 
 
 def test_support_certificate_interior_returns_none():
