@@ -2,7 +2,8 @@
 
 The Bloch constant is exactly the Lipschitz constant of the mapping from the
 hyperbolic disk to the Euclidean plane, which makes it invariant under disk
-automorphisms.  The script checks both statements numerically.
+automorphisms.  The script checks both statements numerically, and shows
+that the shape of the unit level set survives an automorphism too.
 """
 
 import numpy as np
@@ -13,9 +14,12 @@ from blochmap import (
     MobiusAutomorphism,
     apply_automorphism,
     bloch_constant,
+    counterexample_family,
     hyperbolic_distance,
+    lambda_set,
     metric_beta_estimate,
     precompose,
+    scale_mapping,
 )
 
 
@@ -48,6 +52,19 @@ def main():
         beta_c = bloch_constant(precompose(f, phi, 80))
         print(f"center {center}:  beta(f o phi) = {beta_c:.12f}  "
               f"(deviation {abs(beta_c - beta):.2e})")
+
+    print()
+    print("== the level circle of f_0.75 o phi_c stays a curve as it shrinks ==")
+    family = counterexample_family(0.75)
+    for center in (0.0, 0.3, 0.6):
+        fc = precompose(family, MobiusAutomorphism(center), 80)
+        # move h(0) to zero and scale back to Bloch constant one
+        h = fc.h.coefficients.copy()
+        h[0] = 0.0
+        fc = HarmonicMapping(AnalyticSeries(h), AnalyticSeries(fc.g.coefficients))
+        rep = lambda_set(scale_mapping(fc, 1.0 / bloch_constant(fc)))
+        print(f"c = {center}:  {rep.classification.value}, {rep.points.size} points, "
+              f"witness radius {rep.witness_radius:.4f}")
 
     print()
     print("== automorphisms preserve the distance itself ==")

@@ -250,7 +250,7 @@ def extreme_necessity(f: HarmonicMapping, tol: float = 1e-6) -> ExtremeNecessity
     elif (lam.classification is LevelSetShape.ISOLATED
           and lam.cluster_count <= FINITE_CLUSTER_LIMIT):
         verdict = ExtremeVerdict.NOT_EXTREME
-    elif lam.classification is LevelSetShape.CURVE_LIKE and lam.witness_radius < 1.0:
+    elif lam.classification is LevelSetShape.CURVE_LIKE:
         verdict = ExtremeVerdict.NECESSARY_CONDITION_MET
     else:
         verdict = ExtremeVerdict.UNRESOLVED

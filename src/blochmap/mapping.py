@@ -234,6 +234,10 @@ def metric_beta_estimate(f: HarmonicMapping, samples: int, seed: int = 0) -> flo
 
 # level-set points at most this far apart join one cluster
 MERGE_RADIUS = 0.05
+# a cluster of this many distinct maxima is a curve: walkers that reach an
+# isolated maximum collapse to 1-2 points after the 1e-6 dedupe, and a count,
+# unlike a length, does not change under disk automorphisms
+CURVE_MIN_POINTS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,9 +245,11 @@ class LambdaReport:
     """Located points of a unit level set with geometric classification.
 
     ``points`` hold converged local maxima whose value sits within the
-    construction tolerance of one; ``residuals`` are those gaps.  A report is
-    ``flagged`` when the mapping's Bloch norm exceeds one beyond tolerance, in
-    which case located maxima no longer describe the unit level set.
+    construction tolerance of one; ``residuals`` are those gaps.  Clusters
+    join points ``MERGE_RADIUS`` apart, and one of ``CURVE_MIN_POINTS``
+    points makes the set CURVE_LIKE.  A report is ``flagged`` when the
+    mapping's Bloch norm exceeds one beyond tolerance, in which case located
+    maxima no longer describe the unit level set.
     """
 
     points: np.ndarray
@@ -328,44 +334,6 @@ def _single_linkage(pts: np.ndarray, radius: float):
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
-def _diameter(p: np.ndarray) -> float:
-    if p.size < 2:
-        return 0.0
-    best = 0.0
-    block = 512
-    for s in range(0, p.size, block):
-        d = np.abs(p[s:s + block, None] - p[None, :])
-        best = max(best, float(d.max()))
-    return best
-
-
-def _turning_ok(path: np.ndarray) -> bool:
-    seg = np.diff(path)
-    seg = seg[np.abs(seg) > 0]
-    if seg.size < 3:
-        return True
-    turns = np.abs(np.angle(seg[1:] / seg[:-1]))
-    return float(turns.max()) <= 2.1 and float(np.median(turns)) <= 0.6
-
-
-def _cluster_is_curve(p: np.ndarray, merge_radius: float) -> bool:
-    if p.size < 8:
-        return False
-    # distances to p[0] are lower bounds on the diameter and often settle it
-    limit = 20.0 * merge_radius
-    if not np.abs(p[0] - p).max() > limit and _diameter(p) <= limit:
-        return False
-    c = p.mean()
-    if _turning_ok(p[np.argsort(np.angle(p - c))]):
-        return True
-    # open arcs/segments: order along the dominant axis instead
-    xy = np.column_stack([(p - c).real, (p - c).imag])
-    _, _, vt = np.linalg.svd(xy, full_matrices=False)
-    axis = complex(vt[0, 0], vt[0, 1])
-    t = ((p - c) * np.conj(axis)).real
-    return _turning_ok(p[np.argsort(t)])
-
-
 def _unit_level_report(values, tol: float, flagged: bool, n_radii: int = 64,
                        n_angles: int = 128) -> LambdaReport:
     if not 0.0 < tol < math.inf:
@@ -386,7 +354,7 @@ def _unit_level_report(values, tol: float, flagged: bool, n_radii: int = 64,
         return LambdaReport(pts, np.abs(vals - 1.0), LevelSetShape.EMPTY, 0.0, flagged)
     pts, vals = _dedupe_best(pts, vals, 1e-6)
     clusters = _single_linkage(pts, MERGE_RADIUS)
-    curve = any(_cluster_is_curve(pts[idx], MERGE_RADIUS) for idx in clusters)
+    curve = any(idx.size >= CURVE_MIN_POINTS for idx in clusters)
     shape = LevelSetShape.CURVE_LIKE if curve else LevelSetShape.ISOLATED
     return LambdaReport(pts, np.abs(vals - 1.0), shape,
                         float(np.abs(pts).max()), flagged, tuple(clusters))
@@ -397,9 +365,10 @@ def lambda_set(f: HarmonicMapping, tol: float = 1e-6, n_radii: int = 64,
     """Locate and classify the level set where mu_f = 1.
 
     Seeds local maximizations of mu_f from a polar grid, keeps converged
-    maxima within ``tol`` of one, merges them into clusters, and reports the
-    cluster geometry (EMPTY / ISOLATED / CURVE_LIKE) with a witness radius
-    bounding all points away from the boundary.
+    maxima within ``tol`` of one, merges them into clusters, and reports
+    EMPTY, ISOLATED, or CURVE_LIKE (a cluster of ``CURVE_MIN_POINTS``
+    distinct points, whatever its size) with a witness radius bounding all
+    points away from the boundary.
     """
     tol = float(tol)
     est = estimate_bloch_constant(f, n_radii=n_radii, n_angles=n_angles)

@@ -890,56 +890,6 @@ def test_sweep_linkage_small_and_odd_radii():
             check_same_clusters(pts, radius)
 
 
-def reference_diameter(p):
-    if p.size < 2:
-        return 0.0
-    best = 0.0
-    for s in range(0, p.size, 512):
-        d = np.abs(p[s:s + 512, None] - p[None, :])
-        best = max(best, float(d.max()))
-    return best
-
-
-def reference_cluster_is_curve(p, merge_radius):
-    if p.size < 8:
-        return False
-    if reference_diameter(p) <= 20.0 * merge_radius:
-        return False
-    c = p.mean()
-    if mapping._turning_ok(p[np.argsort(np.angle(p - c))]):
-        return True
-    xy = np.column_stack([(p - c).real, (p - c).imag])
-    _, _, vt = np.linalg.svd(xy, full_matrices=False)
-    axis = complex(vt[0, 0], vt[0, 1])
-    t = ((p - c) * np.conj(axis)).real
-    return mapping._turning_ok(p[np.argsort(t)])
-
-
-def test_curve_test_matches_full_diameter():
-    pts, vals = family_level_points()
-    ring, _ = mapping._dedupe_best(pts, vals, 1e-6)
-    ring = ring[np.argsort(np.angle(ring))]
-    rng = np.random.default_rng(10)
-    clusters = [ring, ring[::-1], ring[:7], np.roll(ring, 300)]
-    # arcs whose diameter straddles 20 merge radii, starting at an end (the
-    # bound settles it) or in the middle (it falls back to the full diameter)
-    for length in (400, 500, 560, 600, 700, 1000):
-        arc = ring[:length]
-        clusters += [arc, np.roll(arc, length // 2), arc[rng.permutation(length)]]
-    clusters += [0.2 + 0.04 * (rng.standard_normal(50) + 1j * rng.standard_normal(50)),
-                 np.linspace(-0.8, 0.8, 40) + 0.1j,
-                 np.linspace(-0.8, 0.8, 40) + 0.05j * (-1.0) ** np.arange(40)]
-    results = set()
-    for p in clusters:
-        for merge_radius in (0.005, 0.03, 0.05):
-            want = reference_cluster_is_curve(p, merge_radius)
-            assert mapping._cluster_is_curve(p, merge_radius) is want
-            results.add(want)
-    assert results == {True, False}
-    for p in clusters:
-        assert mapping._diameter(p) == reference_diameter(p)
-
-
 def reference_polyval_batch(coefficients, z):
     c = np.asarray(coefficients, dtype=complex)
     z = np.asarray(z, dtype=complex)

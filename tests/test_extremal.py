@@ -6,6 +6,7 @@ from blochmap import (
     ExtremeVerdict,
     HarmonicMapping,
     LevelSetShape,
+    MobiusAutomorphism,
     Ternary,
     bloch_norm,
     coefficient_conditions,
@@ -15,6 +16,7 @@ from blochmap import (
     membership,
     midpoint_check,
     mu,
+    precompose,
     rotation_normalize,
     scale_mapping,
     sharpening_exponent,
@@ -162,6 +164,34 @@ def test_extreme_necessity_interior_point_not_extreme():
     rep = extreme_necessity(scale_mapping(IDENTITY, 0.5))
     assert rep.verdict is ExtremeVerdict.NOT_EXTREME
     assert rep.lambda_report.classification is LevelSetShape.EMPTY
+
+
+def normalized_composition(f, center):
+    # f o phi_center through an order-200 truncation, with h(0) moved to 0
+    # and scaled back to Bloch constant one
+    fc = precompose(f, MobiusAutomorphism(center, 0.0), 200)
+    h = fc.h.coefficients.copy()
+    h[0] = 0.0
+    fc = HarmonicMapping(AnalyticSeries(h), AnalyticSeries(fc.g.coefficients))
+    return scale_mapping(fc, 1.0 / estimate_bloch_constant(fc).value)
+
+
+@pytest.mark.parametrize("center", [0.45, 0.6, 0.8])
+@pytest.mark.parametrize("a", [0.3, 0.75])
+def test_extreme_necessity_invariant_under_automorphisms(a, center):
+    # composing with a disk automorphism shrinks the family's level circle,
+    # but it stays a curve, and the verdict must not change with its size
+    rep = extreme_necessity(normalized_composition(counterexample_family(a), center))
+    assert rep.lambda_report.classification is LevelSetShape.CURVE_LIKE
+    assert rep.verdict is ExtremeVerdict.NECESSARY_CONDITION_MET
+
+
+@pytest.mark.parametrize("center", [0.3, 0.6])
+def test_extreme_necessity_composed_identity_stays_isolated(center):
+    rep = extreme_necessity(normalized_composition(IDENTITY, center))
+    assert rep.lambda_report.classification is LevelSetShape.ISOLATED
+    assert rep.lambda_report.points.size == 1
+    assert rep.verdict is ExtremeVerdict.NOT_EXTREME
 
 
 def test_extreme_necessity_requires_normalized_membership():

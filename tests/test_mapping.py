@@ -162,6 +162,16 @@ def test_lambda_set_family_curve():
     assert not rep.flagged
 
 
+def test_lambda_set_small_circle_is_curve():
+    # mu = (1 - r^2)(0.9 + r^2) / beta peaks on the circle r^2 = 0.05, whose
+    # diameter is far below any fixed Euclidean curve length
+    f = HarmonicMapping(AnalyticSeries([0.0, 0.9]), AnalyticSeries([0.0, 0.0, 0.0, 1.0 / 3.0]))
+    rep = lambda_set(scale_mapping(f, 1.0 / 0.9025))
+    assert rep.classification is LevelSetShape.CURVE_LIKE
+    assert np.abs(np.abs(rep.points) - np.sqrt(0.05)).max() < 1e-3
+    assert not rep.flagged
+
+
 def test_lambda_set_empty_below_one():
     rep = lambda_set(scale_mapping(IDENTITY, 0.5))
     assert rep.classification is LevelSetShape.EMPTY
