@@ -21,6 +21,7 @@ from .mapping import (
     mu_grid_rows,
 )
 from .extremal import (
+    MAX_EXPONENT,
     counterexample_family,
     extreme_necessity,
     membership,
@@ -108,13 +109,20 @@ def _parse_complex(text: str) -> complex:
 
 
 def _parse_grid(text: str) -> dict:
-    # the grid keywords of the analyses; without --grid they keep their defaults
+    # the grid keywords of mu_grid_rows; without --grid they keep their defaults
     parts = text.lower().split("x")
     if len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
         r, t = int(parts[0]), int(parts[1])
         if r > 0 and t > 0:
             return {"n_radii": r, "n_angles": t}
     raise _ArgumentError(f"grid sizes are written RxT, e.g. 64x128, got {text!r}")
+
+
+def _parse_seed(text: str) -> int:
+    # numpy would refuse a negative seed only once the analysis reaches its sampler
+    if text.isdecimal():
+        return int(text)
+    raise argparse.ArgumentTypeError(f"seeds are nonnegative integers, got {text!r}")
 
 
 def _input_mapping(args):
@@ -138,7 +146,7 @@ def _load_functional(path: str) -> LinearFunctional:
 
 def _cmd_beta(args) -> CommandResult:
     f = _input_mapping(args)
-    est = estimate_bloch_constant(f, **args.grid)
+    est = estimate_bloch_constant(f)
     payload = {
         "beta": est.value,
         "accuracy": est.accuracy,
@@ -157,7 +165,7 @@ def _cmd_mu_grid(args) -> CommandResult:
 
 def _cmd_lambda(args) -> CommandResult:
     f = _input_mapping(args)
-    rep = lambda_set(f, args.tol, **args.grid)
+    rep = lambda_set(f)
     status = "FLAGGED" if rep.flagged else "OK"
     diags = ["Bloch norm exceeds one beyond tolerance; level-set points are unreliable"] \
         if rep.flagged else []
@@ -185,7 +193,7 @@ def _cmd_midpoint(args) -> CommandResult:
 
 
 def _cmd_extreme_check(args) -> CommandResult:
-    rep = extreme_necessity(_input_mapping(args), args.tol)
+    rep = extreme_necessity(_input_mapping(args))
     return CommandResult("OK", rep.to_dict())
 
 
@@ -193,10 +201,10 @@ def _cmd_sharpen(args) -> CommandResult:
     if args.z0 is None or args.delta0 is None:
         raise _ArgumentError("sharpen requires --z0 RE[,IM] and --delta0 VALUE")
     f = _input_mapping(args)
-    result = sharpening_exponent(f, args.z0, args.delta0, args.n_max)
+    result = sharpening_exponent(f, args.z0, args.delta0)
     if result is None:
-        return CommandResult("FLAGGED", {"status": "NOT_FOUND"},
-                             ["no exponent up to n-max closed the bound; input flagged for review"])
+        diag = f"no exponent up to {MAX_EXPONENT} closed the bound; input flagged for review"
+        return CommandResult("FLAGGED", {"status": "NOT_FOUND"}, [diag])
     # sharpening_exponent returns only witnesses whose dense-grid margin
     # exceeds MARGIN_FLOOR, so a found witness is never flagged
     return CommandResult("OK", {"status": "FOUND", **result.to_dict()})
@@ -224,7 +232,7 @@ def _cmd_functional(args) -> CommandResult:
 
 def _cmd_certify_support(args) -> CommandResult:
     f = _input_mapping(args)
-    cert = support_certificate(f, args.samples, args.seed, args.tol)
+    cert = support_certificate(f, args.samples, args.seed)
     if cert is None:
         return CommandResult("OK", {"status": "NONE"})
     return CommandResult("OK", {"status": "CERTIFIED", **cert.to_dict()})
@@ -244,14 +252,14 @@ def _cmd_falsify(args) -> CommandResult:
         raise _ArgumentError("falsify requires --functional FILE")
     L = _load_functional(args.functional)
     f = _input_mapping(args)
-    outcome = perturbation_falsifier(L, f, args.tol)
+    outcome = perturbation_falsifier(L, f)
     if outcome.status is FalsifierStatus.CONSTRUCTION_FAILED:
         return CommandResult("FLAGGED", outcome.to_dict(), [outcome.message])
     return CommandResult("OK", outcome.to_dict())
 
 
 def _cmd_decompose(args) -> CommandResult:
-    d = decompose_support_point(_input_mapping(args), args.tol)
+    d = decompose_support_point(_input_mapping(args))
     if d is None:
         return CommandResult("OK", {"status": "NONE"})
     return CommandResult("OK", {"status": "DECOMPOSED", **d.to_dict()})
@@ -262,15 +270,13 @@ _OPTIONS = {
     "--mapping": {"metavar": "FILE", "help": "mapping spec JSON with h/g coefficient lists"},
     "--family-a": {"type": float, "metavar": "A",
                    "help": "build the quadratic counterexample family member f_A"},
-    "--tol": {"type": float, "default": 1e-6},
     "--samples": {"type": int},
-    "--seed": {"type": int, "default": 0},
+    "--seed": {"type": _parse_seed, "default": 0},
     "--grid": {"type": _parse_grid, "default": {}, "metavar": "RxT",
                "help": "polar grid sizes, radii x angles (default 64x128)"},
     "--a": {"type": float, "help": "family parameter to test against"},
     "--z0": {"type": _parse_complex, "metavar": "RE[,IM]"},
     "--delta0": {"type": float},
-    "--n-max": {"type": int, "default": 8},
     "--functional": {"metavar": "FILE", "help": "functional spec JSON with A/B weight lists"},
     "--lift": {"action": "store_true",
                "help": "also report the derivative-side lift and its value"},
@@ -284,30 +290,29 @@ _MAPPING = ("--mapping", "--family-a")
 # subcommand -> (handler, help, the options it reads besides --out); an
 # option nothing reads is an "unrecognized arguments" error
 _COMMANDS = {
-    "beta": (_cmd_beta, "Bloch constant, accuracy and norm", (*_MAPPING, "--grid")),
+    "beta": (_cmd_beta, "Bloch constant, accuracy and norm", _MAPPING),
     "mu-grid": (_cmd_mu_grid, "CSV dump re,im,mu over a polar grid", (*_MAPPING, "--grid")),
-    "lambda": (_cmd_lambda, "locate and classify the unit level set of mu",
-               (*_MAPPING, "--tol", "--grid")),
+    "lambda": (_cmd_lambda, "locate and classify the unit level set of mu", _MAPPING),
     "membership": (_cmd_membership, "Bloch-type ball membership report", _MAPPING),
     "counterexample": (_cmd_counterexample, "emit the family member f_A as mapping JSON",
                        ("--family-a",)),
     "midpoint": (_cmd_midpoint, "check f against the family midpoint identity at --a",
                  (*_MAPPING, "--a")),
     "extreme-check": (_cmd_extreme_check, "necessary-condition screen for extreme points",
-                      (*_MAPPING, "--tol")),
+                      _MAPPING),
     "sharpen": (_cmd_sharpen, "search the sharpened weighted-derivative bound exponent",
-                (*_MAPPING, "--z0", "--delta0", "--n-max")),
+                (*_MAPPING, "--z0", "--delta0")),
     "functional": (_cmd_functional, "evaluate a coefficient functional on a mapping",
                    (*_MAPPING, "--functional", "--lift", "--eps")),
     "certify-support": (_cmd_certify_support,
                         "support-point certificate over sampled ball members",
-                        (*_MAPPING, "--tol", "--samples", "--seed")),
+                        (*_MAPPING, "--samples", "--seed")),
     "bonk": (_cmd_bonk, "boundary annulus constants for level --m",
              ("--m", "--samples", "--seed")),
     "falsify": (_cmd_falsify, "dilation-plus-bump improvement against a functional",
-                (*_MAPPING, "--functional", "--tol")),
+                (*_MAPPING, "--functional")),
     "decompose": (_cmd_decompose, "peel the unimodular constant off a support-point candidate",
-                  (*_MAPPING, "--tol")),
+                  _MAPPING),
 }
 
 # --samples has a default per subcommand

@@ -228,7 +228,7 @@ class ExtremeNecessityReport:
 FINITE_CLUSTER_LIMIT = 8
 
 
-def extreme_necessity(f: HarmonicMapping, tol: float = 1e-6) -> ExtremeNecessityReport:
+def extreme_necessity(f: HarmonicMapping) -> ExtremeNecessityReport:
     """Contrapositive extreme-point screen through the unit level set.
 
     An extreme point of the normalized little ball must have an infinite unit
@@ -244,7 +244,7 @@ def extreme_necessity(f: HarmonicMapping, tol: float = 1e-6) -> ExtremeNecessity
         part = 2
     else:
         raise ValueError("extreme-point screen requires membership in a normalized ball")
-    lam = lambda_set(f, tol)
+    lam = lambda_set(f)
     if lam.classification is LevelSetShape.EMPTY:
         verdict = ExtremeVerdict.NOT_EXTREME
     elif (lam.classification is LevelSetShape.ISOLATED
@@ -322,32 +322,31 @@ def _sharpening_margins(derivatives, pts: np.ndarray, z0: complex, n: int) -> np
 
 # accepted margins must clear float noise; smaller positives are treated as zero
 MARGIN_FLOOR = 1e-10
-# radii x angles of the search grid of sharpening_exponent, and how often
-# the search may halve delta0
+# radii x angles of the search grid of sharpening_exponent, how often the
+# search may halve delta0, and the largest exponent it tries at each radius
 SEARCH_GRID = (48, 96)
 MAX_HALVINGS = 20
+MAX_EXPONENT = 8
 
 
-def sharpening_exponent(f: HarmonicMapping, z0, delta0: float, n_max: int = 8):
+def sharpening_exponent(f: HarmonicMapping, z0, delta0: float):
     """Search for the smallest exponent making the sharpened bound hold.
 
     Requires mu_f(z0) = 1 (within 1e-8) and mu_f < 1 on the sampled punctured
     disk of radius delta0.  The exponent is raised before the radius is
     halved, so the returned delta is the largest one in the halving schedule
-    that works for some n <= n_max.  A candidate found on the coarse grid is
-    only accepted after a dense offset grid confirms its margin above the
-    noise floor; this rejects spurious witnesses at centers where the unit
-    level set is a curve through the neighborhood.  The accepted witness
+    that works for some n <= MAX_EXPONENT.  A candidate found on the coarse
+    grid is only accepted after a dense offset grid confirms its margin above
+    the noise floor; this rejects spurious witnesses at centers where the
+    unit level set is a curve through the neighborhood.  The accepted witness
     carries that confirmed margin as ``verified_margin``.  Returns None when
-    the sweep of ``n_max`` exponents over ``MAX_HALVINGS + 1`` radii is
-    exhausted.
+    the sweep of ``MAX_EXPONENT`` exponents over ``MAX_HALVINGS + 1`` radii
+    is exhausted.
     """
     z0 = complex(z0)
     delta0 = float(delta0)
     if not 0.0 < delta0 < math.inf:
         raise ValueError("delta0 must be a positive finite number")
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
     if abs(mu(f, z0) - 1.0) > 1e-8:
         raise ValueError("sharpening requires a unit-level center point")
     base = _punctured_samples(z0, delta0, *SEARCH_GRID)
@@ -357,7 +356,7 @@ def sharpening_exponent(f: HarmonicMapping, z0, delta0: float, n_max: int = 8):
     delta = delta0
     for _ in range(MAX_HALVINGS + 1):
         pts = base if delta == delta0 else _punctured_samples(z0, delta, *SEARCH_GRID)
-        for n in range(1, n_max + 1):
+        for n in range(1, MAX_EXPONENT + 1):
             margins = _sharpening_margins(derivatives, pts, z0, n)
             worst = float(margins.min())
             if worst <= MARGIN_FLOOR:

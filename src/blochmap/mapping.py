@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .series import AnalyticSeries, differentiate, eval_series, linear_combination, polyval_batch
-from .optimize import (DISK_RADIUS_CAP, MaximizationResult, compass_maximize,
-                       maximize_on_disk, polar_grid)
+from .optimize import (DISK_GRID, DISK_RADIUS_CAP, GRID_STEP, MaximizationResult,
+                       compass_maximize, maximize_on_disk, polar_grid)
 
 __all__ = [
     "Ternary",
@@ -63,9 +62,9 @@ class HarmonicMapping:
 
     h: AnalyticSeries
     g: AnalyticSeries
-    # Bloch estimates of this mapping keyed by grid sizes; see
+    # the Bloch estimate of this mapping once computed; see
     # estimate_bloch_constant
-    _estimates: dict = field(default_factory=dict, init=False, repr=False)
+    _estimate: MaximizationResult | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.g.coefficients[0] != 0:
@@ -136,7 +135,7 @@ def _tail_allowance(f: HarmonicMapping) -> float:
     return (f.h.tail_bound or 0.0) + (f.g.tail_bound or 0.0)
 
 
-def estimate_bloch_constant(f: HarmonicMapping, n_radii=64, n_angles=128) -> MaximizationResult:
+def estimate_bloch_constant(f: HarmonicMapping) -> MaximizationResult:
     """Bloch constant sup mu_f with an estimated absolute accuracy.
 
     A fixed polar grid seeds deterministic compass ascents and the best value
@@ -144,20 +143,17 @@ def estimate_bloch_constant(f: HarmonicMapping, n_radii=64, n_angles=128) -> Max
     accuracy as-is (they are declared bounds, not derivative bounds; exact
     polynomials contribute nothing).
 
-    The result is memoized on the mapping, keyed by the grid sizes, so
-    every analysis of one mapping object reads one β.  This is safe because
-    the coefficient arrays are read-only and the search is deterministic: a
-    memo hit returns exactly what a recomputation would, and two threads
-    racing on a first call store equal values.  The memo lives and dies with
-    its mapping.
+    The result is memoized on the mapping, so every analysis of one mapping
+    object reads one β.  This is safe because the coefficient arrays are
+    read-only and the search is deterministic: a memo hit returns exactly
+    what a recomputation would, and two threads racing on a first call store
+    equal values.  The memo lives and dies with its mapping.
     """
-    key = (n_radii, n_angles)
-    est = f._estimates.get(key)
-    if est is None:
-        res = maximize_on_disk(_mu_values(f), n_radii=n_radii, n_angles=n_angles)
-        est = MaximizationResult(res.value, res.accuracy + _tail_allowance(f), res.argmax)
-        f._estimates[key] = est
-    return est
+    if f._estimate is None:
+        res = maximize_on_disk(_mu_values(f))
+        object.__setattr__(f, "_estimate", MaximizationResult(
+            res.value, res.accuracy + _tail_allowance(f), res.argmax))
+    return f._estimate
 
 
 def bloch_constant(f: HarmonicMapping) -> float:
@@ -232,6 +228,8 @@ def metric_beta_estimate(f: HarmonicMapping, samples: int, seed: int = 0) -> flo
     return best
 
 
+# located maxima within this of one lie on the unit level set
+LEVEL_TOL = 1e-6
 # level-set points at most this far apart join one cluster
 MERGE_RADIUS = 0.05
 # a cluster of this many distinct maxima is a curve: walkers that reach an
@@ -244,11 +242,11 @@ CURVE_MIN_POINTS = 8
 class LambdaReport:
     """Located points of a unit level set with geometric classification.
 
-    ``points`` hold converged local maxima whose value sits within the
-    construction tolerance of one; ``residuals`` are those gaps.  Clusters
+    ``points`` hold converged local maxima whose value sits within
+    ``LEVEL_TOL`` of one; ``residuals`` are those gaps.  Clusters
     join points ``MERGE_RADIUS`` apart, and one of ``CURVE_MIN_POINTS``
     points makes the set CURVE_LIKE.  A report is ``flagged`` when the
-    mapping's Bloch norm exceeds one beyond tolerance, in which case located
+    mapping's Bloch norm exceeds one beyond ``LEVEL_TOL``, in which case located
     maxima no longer describe the unit level set.
     """
 
@@ -334,21 +332,17 @@ def _single_linkage(pts: np.ndarray, radius: float):
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
-def _unit_level_report(values, tol: float, flagged: bool, n_radii: int = 64,
-                       n_angles: int = 128) -> LambdaReport:
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tolerance must be a positive finite number")
-    grid = polar_grid(n_radii, n_angles)
+def _unit_level_report(values, flagged: bool) -> LambdaReport:
+    grid = polar_grid(*DISK_GRID)
     gv = values(grid)
-    band = max(0.02, 10.0 * tol)
-    cand = np.flatnonzero(np.abs(gv - 1.0) <= band)
+    # grid points within 0.02 of the level, and the 8 best, seed the ascents
+    cand = np.flatnonzero(np.abs(gv - 1.0) <= 0.02)
     top = np.argsort(gv)[::-1][:8]
     seeds = np.union1d(cand, top)
     if seeds.size > 4096:
         seeds = seeds[np.argsort(gv[seeds])[::-1][:4096]]
-    spacing = max(1.0 / n_radii, np.pi / n_angles)
-    pts, vals = compass_maximize(lambda z, _w: values(z), grid[seeds], 2.0 * spacing)
-    keep = np.abs(vals - 1.0) <= tol
+    pts, vals = compass_maximize(lambda z, _w: values(z), grid[seeds], GRID_STEP)
+    keep = np.abs(vals - 1.0) <= LEVEL_TOL
     pts, vals = pts[keep], vals[keep]
     if pts.size == 0:
         return LambdaReport(pts, np.abs(vals - 1.0), LevelSetShape.EMPTY, 0.0, flagged)
@@ -360,31 +354,27 @@ def _unit_level_report(values, tol: float, flagged: bool, n_radii: int = 64,
                         float(np.abs(pts).max()), flagged, tuple(clusters))
 
 
-def lambda_set(f: HarmonicMapping, tol: float = 1e-6, n_radii: int = 64,
-               n_angles: int = 128) -> LambdaReport:
+def lambda_set(f: HarmonicMapping) -> LambdaReport:
     """Locate and classify the level set where mu_f = 1.
 
-    Seeds local maximizations of mu_f from a polar grid, keeps converged
-    maxima within ``tol`` of one, merges them into clusters, and reports
-    EMPTY, ISOLATED, or CURVE_LIKE (a cluster of ``CURVE_MIN_POINTS``
-    distinct points, whatever its size) with a witness radius bounding all
-    points away from the boundary.
+    Seeds local maximizations of mu_f from the ``DISK_GRID`` polar grid,
+    keeps converged maxima within ``LEVEL_TOL`` of one, merges them into
+    clusters, and reports EMPTY, ISOLATED, or CURVE_LIKE (a cluster of
+    ``CURVE_MIN_POINTS`` distinct points, whatever its size) with a witness
+    radius bounding all points away from the boundary.
     """
-    tol = float(tol)
-    est = estimate_bloch_constant(f, n_radii=n_radii, n_angles=n_angles)
-    norm = abs(f.value_at_origin) + est.value
-    return _unit_level_report(_mu_values(f), tol, norm > 1.0 + tol, n_radii, n_angles)
+    norm = abs(f.value_at_origin) + estimate_bloch_constant(f).value
+    return _unit_level_report(_mu_values(f), norm > 1.0 + LEVEL_TOL)
 
 
-def sup_modulus(f: HarmonicMapping, tol: float = 1e-6):
+def sup_modulus(f: HarmonicMapping):
     """sup (|h| + |g|)(1 - |z|^2) together with a report on its unit level set."""
     values = _weighted_abs_sum(f.h.coefficients, f.g.coefficients)
     res = maximize_on_disk(values)
-    report = _unit_level_report(values, tol, res.value > 1.0 + tol)
-    return res.value, report
+    return res.value, _unit_level_report(values, res.value > 1.0 + LEVEL_TOL)
 
 
-def mu_grid_rows(f: HarmonicMapping, n_radii: int = 64, n_angles: int = 128) -> np.ndarray:
+def mu_grid_rows(f: HarmonicMapping, n_radii=DISK_GRID[0], n_angles=DISK_GRID[1]) -> np.ndarray:
     """Rows (re, im, mu) over the standard polar grid, for CSV dumps."""
     # a dump's grid has a caller-chosen size and is used once: keep it out of
     # the grid cache, which would hold it for the life of the process

@@ -19,6 +19,11 @@ __all__ = ["polar_grid", "compass_maximize", "maximize_on_disk", "MaximizationRe
 # searches never leave |z| <= 1 - 1e-9
 DISK_RADIUS_CAP = 1.0 - 1e-9
 
+# radii x angles of the polar grid seeding maximize_on_disk and lambda_set
+DISK_GRID = (64, 128)
+# their first compass step: twice the grid's angular spacing, its wider one
+GRID_STEP = 2.0 * np.pi / DISK_GRID[1]
+
 # maximize_on_disk refines this many well-spread grid maxima
 N_STARTS = 20
 
@@ -34,7 +39,7 @@ _BLOCK_STARTS = 4 * np.arange(6)[:, None]
 
 
 @functools.lru_cache(maxsize=32)
-def polar_grid(n_radii=64, n_angles=128, r_max=DISK_RADIUS_CAP) -> np.ndarray:
+def polar_grid(n_radii=DISK_GRID[0], n_angles=DISK_GRID[1], r_max=DISK_RADIUS_CAP) -> np.ndarray:
     """The origin plus n_radii rings of n_angles points each.
 
     Grids are cached, so the array is read-only; copy it to modify it.
@@ -152,17 +157,16 @@ def _spread_top_indices(points, values, count, min_sep):
     return np.asarray(chosen, dtype=int)
 
 
-def maximize_on_disk(values, n_radii=64, n_angles=128) -> MaximizationResult:
+def maximize_on_disk(values) -> MaximizationResult:
     """Maximize a vectorized objective ``values(z_array)`` over the disk."""
-    grid = polar_grid(n_radii, n_angles)
+    grid = polar_grid(*DISK_GRID)
     gv = values(grid)
-    spacing = max(DISK_RADIUS_CAP / n_radii, np.pi / n_angles)
-    seeds = _spread_top_indices(grid, gv, N_STARTS, 2.0 * spacing)
+    seeds = _spread_top_indices(grid, gv, N_STARTS, GRID_STEP)
 
     def ev(z, _walkers):
         return values(z)
 
-    pts, vals = compass_maximize(ev, grid[seeds], 2.0 * spacing)
+    pts, vals = compass_maximize(ev, grid[seeds], GRID_STEP)
     k = int(np.argmax(vals))
     best_z = complex(pts[k])
     best_v = float(vals[k])

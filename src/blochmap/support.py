@@ -15,6 +15,7 @@ import numpy as np
 from .series import AnalyticSeries, differentiate, dilate, eval_series, linear_combination, polyval_batch
 from .optimize import DISK_RADIUS_CAP, compass_maximize, maximize_on_disk, polar_grid
 from .mapping import (
+    LEVEL_TOL,
     HarmonicMapping,
     LevelSetShape,
     _abs_sum,
@@ -495,13 +496,13 @@ def _draw_sample_rows(f: HarmonicMapping, z0: complex, count: int, columns: int,
     return h_rows, g_rows, labels
 
 
-def support_certificate(f: HarmonicMapping, samples: int = 10000, seed: int = 0,
-                        tol: float = 1e-6):
+def support_certificate(f: HarmonicMapping, samples: int = 10000, seed: int = 0):
     """Certify f as a support point of the normalized unit ball, or return
     None when its unit level set is empty.
 
-    Picks a unit-level point z0, refines it by local ascent, builds the
-    weighted derivative functional aligned there, and compares its value at f
+    Picks the point z0 of ``lambda_set`` closest to the unit level (within
+    ``LEVEL_TOL``), refines it by local ascent, builds the weighted
+    derivative functional aligned there, and compares its value at f
     against `samples` stratified random members of the ball.  Every sampled
     member is rotated to align its functional value (rotation preserves
     membership), so the recorded maximum is conservative.  A candidate z0
@@ -512,7 +513,7 @@ def support_certificate(f: HarmonicMapping, samples: int = 10000, seed: int = 0,
     rep = membership(f)
     if not rep.in_normalized_unit_ball:
         raise ValueError("support certificates require membership in the normalized unit ball")
-    lam = lambda_set(f, tol)
+    lam = lambda_set(f)
     if lam.classification is LevelSetShape.EMPTY:
         return None
     z0 = complex(lam.points[int(np.argmin(lam.residuals))])
@@ -637,8 +638,7 @@ def _inner_disk_gap(f: HarmonicMapping, radius: float) -> float:
     return max(0.5 * float((inv - moduli).min()), 0.0)
 
 
-def perturbation_falsifier(L: LinearFunctional, f: HarmonicMapping,
-                           tol: float = 1e-6) -> FalsifierOutcome:
+def perturbation_falsifier(L: LinearFunctional, f: HarmonicMapping) -> FalsifierOutcome:
     """Try to beat f against L inside the modulus ball.
 
     When the unit level set of (|h| + |g|)(1 - |z|^2) is empty, dilating f
@@ -648,9 +648,9 @@ def perturbation_falsifier(L: LinearFunctional, f: HarmonicMapping,
     """
     if L.effectively_zero:
         raise ValueError("functional vanishes on every mapping with g(0) = 0")
-    modulus, report = sup_modulus(f, tol)
+    modulus, report = sup_modulus(f)
     modulus += _tail_allowance(f)
-    if modulus > 1.0 + tol:
+    if modulus > 1.0 + LEVEL_TOL:
         raise ValueError("falsifier requires sup (|h|+|g|)(1-|z|^2) <= 1")
     if report.classification is not LevelSetShape.EMPTY:
         return FalsifierOutcome(FalsifierStatus.NOT_APPLICABLE,
@@ -726,28 +726,26 @@ def _with_zero_constant(s: AnalyticSeries, factor: float) -> AnalyticSeries:
                           else s.tail_bound * abs(factor))
 
 
-def decompose_support_point(f0: HarmonicMapping, tol: float = 1e-6):
+def decompose_support_point(f0: HarmonicMapping):
     """Peel the constant part off a candidate support point of the unit ball.
 
     Writes f0 as lambda1*u + (1-lambda1)*f with u = f0(0)/|f0(0)| and
     lambda1 = |f0(0)|; succeeds when the residual lies in the normalized unit
     ball with a nonempty unit level set, else returns None.  All-constant and
-    constant-free inputs degenerate to lambda1 = 1 and lambda1 = 0.
+    constant-free inputs (lambda1 within ``LEVEL_TOL`` of 1 or 0) degenerate
+    to lambda1 = 1 and lambda1 = 0.
     """
-    tol = float(tol)
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tolerance must be a positive finite number")
     norm = bloch_norm(f0)
-    if norm > 1.0 + tol:
+    if norm > 1.0 + LEVEL_TOL:
         raise ValueError("decomposition requires Bloch norm at most one")
     c0 = f0.value_at_origin
     lam1 = abs(c0)
 
-    if lam1 >= 1.0 - tol:
+    if lam1 >= 1.0 - LEVEL_TOL:
         zero = AnalyticSeries([0.0])
         return SupportDecomposition(lam1, c0 / lam1, HarmonicMapping(zero, zero))
 
-    if lam1 <= tol:
+    if lam1 <= LEVEL_TOL:
         lam1, u, factor = 0.0, 1.0 + 0.0j, 1.0
     else:
         u, factor = c0 / lam1, 1.0 / (1.0 - lam1)

@@ -428,6 +428,8 @@ def test_json_hook_serializes_numpy_and_complex_values():
         cli._render(cli.CommandResult("OK", {"x": object()}))
 
 
+# the level tolerance is a constant, so a --tol of any value, here in the
+# --tol=VALUE spelling, fails at the parser before any analysis runs
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-6"])
 @pytest.mark.parametrize("command", ["extreme-check", "lambda", "certify-support", "decompose"])
 def test_non_positive_or_non_finite_tol_is_rejected(capsys, command, tol):
@@ -435,7 +437,7 @@ def test_non_positive_or_non_finite_tol_is_rejected(capsys, command, tol):
     code, out, err = run_cli(capsys, command, "--family-a", "1.0", f"--tol={tol}", *samples)
     assert code == 1
     assert out == ""
-    assert "tolerance" in err
+    assert f"unrecognized arguments: --tol={tol}" in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])
@@ -446,7 +448,7 @@ def test_falsify_rejects_non_finite_tol(capsys, tmp_path, tol):
                              "--functional", fpath, f"--tol={tol}")
     assert code == 1
     assert out == ""
-    assert "tolerance" in err
+    assert f"unrecognized arguments: --tol={tol}" in err
 
 
 @pytest.mark.parametrize("delta0", ["nan", "inf", "0", "-0.5"])
@@ -460,12 +462,13 @@ def test_sharpen_rejects_bad_radius(capsys, tmp_path, delta0):
 
 
 def test_sharpen_rejects_empty_exponent_range(capsys, tmp_path):
+    # the exponent cap is a constant, so no exponent range can be asked for
     path = write_mapping(tmp_path, "id.json", [0.0, 1.0], [0.0])
     code, out, err = run_cli(capsys, "sharpen", "--mapping", path, "--z0", "0",
-                             "--delta0", "0.9", "--n-max", "0")
+                             "--delta0", "0.9", "--n-max=0")
     assert code == 1
     assert out == ""
-    assert "n_max" in err
+    assert "unrecognized arguments: --n-max=0" in err
 
 
 # a valid call of each subcommand, and the options it does not read
@@ -485,13 +488,12 @@ VALID_CALLS = {
     "decompose": ["--family-a", "1.0"],
 }
 IGNORED_OPTIONS = (
-    [(c, ["--tol", "1e-3"]) for c in ("beta", "mu-grid", "membership", "counterexample",
-                                      "midpoint", "sharpen", "functional", "bonk")]
+    [(c, ["--tol", "1e-3"]) for c in VALID_CALLS]
     + [(c, [flag, "7"]) for c in VALID_CALLS if c not in ("certify-support", "bonk")
        for flag in ("--samples", "--seed")]
-    + [(c, ["--grid", "8x16"]) for c in VALID_CALLS if c not in ("beta", "mu-grid", "lambda")]
+    + [(c, ["--grid", "8x16"]) for c in VALID_CALLS if c != "mu-grid"]
     + [(c, ["--mapping", "f.json"]) for c in ("counterexample", "bonk")]
-    + [("bonk", ["--family-a", "1.0"])]
+    + [("bonk", ["--family-a", "1.0"]), ("sharpen", ["--n-max", "8"])]
 )
 
 
@@ -516,6 +518,23 @@ def test_zero_samples_is_an_error_not_the_default(capsys, argv):
     assert code == 1
     assert out == ""
     assert "sample" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify-support", "--family-a", "1.0", "--samples", "16"],
+    ["bonk", "--m", "2.0", "--samples", "100"],
+], ids=["certify-support", "bonk"])
+@pytest.mark.parametrize("seed", ["-1", "1.5"])
+def test_bad_seed_fails_before_any_analysis(capsys, monkeypatch, argv, seed):
+    def analysis(*args, **kwargs):
+        raise AssertionError("an analysis ran on a bad seed")
+
+    for name in ("support_certificate", "bonk_constants", "verify_bonk_constants"):
+        monkeypatch.setattr(cli, name, analysis)
+    code, out, err = run_cli(capsys, *argv, "--seed", seed)
+    assert code == 1
+    assert out == ""
+    assert "--seed" in err
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

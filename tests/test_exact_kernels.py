@@ -635,16 +635,15 @@ def test_sharpening_result_carries_the_dense_margin():
 def test_cached_parser_carries_no_state(monkeypatch, capsys):
     assert cli._build_parser() is cli._build_parser()
     grids = []
-    beta = cli.estimate_bloch_constant
+    rows = cli.mu_grid_rows
 
     def recording(f, **kwargs):
         grids.append(kwargs)
-        return beta(f, **kwargs)
+        return rows(f, **kwargs)
 
-    monkeypatch.setattr(cli, "estimate_bloch_constant", recording)
+    monkeypatch.setattr(cli, "mu_grid_rows", recording)
     assert cli.main(["mu-grid", "--family-a", "1.0", "--grid", "4x8"]) == 0
-    assert cli.main(["beta", "--family-a", "1.0", "--grid", "4x8"]) == 0
-    assert cli.main(["beta", "--family-a", "1.0"]) == 0
+    assert cli.main(["mu-grid", "--family-a", "1.0"]) == 0
     assert grids == [{"n_radii": 4, "n_angles": 8}, {}]
     capsys.readouterr()
     assert cli.main(["certify-support", "--family-a", "1.0", "--samples", "3"]) == 0

@@ -250,9 +250,3 @@ def test_membership_report_round_trip():
 def test_sharpening_radius_must_be_positive_and_finite(delta0):
     with pytest.raises(ValueError, match="delta0"):
         sharpening_exponent(IDENTITY, 0.0, delta0)
-
-
-@pytest.mark.parametrize("n_max", [0, -1])
-def test_sharpening_needs_at_least_one_exponent(n_max):
-    with pytest.raises(ValueError, match="n_max"):
-        sharpening_exponent(IDENTITY, 0.0, 0.9, n_max)

@@ -383,16 +383,6 @@ def test_decompose_rejects_oversized_norm():
         decompose_support_point(scale_mapping(IDENTITY, 1.2))
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0],
-                         ids=["nan", "inf", "zero"])
-def test_support_tolerances_must_be_positive_and_finite(tol):
-    L = LinearFunctional(np.array([0.0, 1.0]), np.array([0.0]))
-    with pytest.raises(ValueError, match="tolerance"):
-        decompose_support_point(IDENTITY, tol)
-    with pytest.raises(ValueError, match="tolerance"):
-        perturbation_falsifier(L, scale_mapping(IDENTITY, 0.5), tol)
-
-
 @pytest.mark.parametrize("n", [0, -3])
 def test_verify_bonk_constants_needs_a_sample(n):
     with pytest.raises(ValueError, match="sample"):
