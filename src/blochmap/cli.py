@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mapping import (
+    _read_json,
     estimate_bloch_constant,
     lambda_set,
     load_mapping,
@@ -105,17 +106,18 @@ def _parse_complex(text: str) -> complex:
         values = []
     if len(values) in (1, 2) and all(math.isfinite(v) for v in values):
         return complex(*values)
-    raise _ArgumentError(f"complex values are written 're' or 're,im' with finite parts, got {text!r}")
+    raise argparse.ArgumentTypeError(
+        f"complex values are written 're' or 're,im' with finite parts, got {text!r}")
 
 
 def _parse_grid(text: str) -> dict:
     # the grid keywords of mu_grid_rows; without --grid they keep their defaults
     parts = text.lower().split("x")
-    if len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
+    if len(parts) == 2 and parts[0].isdecimal() and parts[1].isdecimal():
         r, t = int(parts[0]), int(parts[1])
         if r > 0 and t > 0:
             return {"n_radii": r, "n_angles": t}
-    raise _ArgumentError(f"grid sizes are written RxT, e.g. 64x128, got {text!r}")
+    raise argparse.ArgumentTypeError(f"grid sizes are written RxT, e.g. 64x128, got {text!r}")
 
 
 def _parse_seed(text: str) -> int:
@@ -126,22 +128,14 @@ def _parse_seed(text: str) -> int:
 
 
 def _input_mapping(args):
-    if args.mapping is not None and args.family_a is not None:
-        raise _ArgumentError("--mapping and --family-a are mutually exclusive")
+    # the parser requires exactly one of the two
     if args.mapping is not None:
         return load_mapping(args.mapping)
-    if args.family_a is not None:
-        return counterexample_family(args.family_a)
-    raise _ArgumentError("a mapping is required: pass --mapping FILE or --family-a VALUE")
+    return counterexample_family(args.family_a)
 
 
 def _load_functional(path: str) -> LinearFunctional:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed functional file {path}: {exc}") from exc
-    return LinearFunctional.from_dict(data)
+    return LinearFunctional.from_dict(_read_json(path, "functional"))
 
 
 def _cmd_beta(args) -> CommandResult:
@@ -180,14 +174,10 @@ def _cmd_membership(args) -> CommandResult:
 
 
 def _cmd_counterexample(args) -> CommandResult:
-    if args.family_a is None:
-        raise _ArgumentError("counterexample requires --family-a VALUE")
     return CommandResult("OK", mapping_to_dict(counterexample_family(args.family_a)))
 
 
 def _cmd_midpoint(args) -> CommandResult:
-    if args.a is None:
-        raise _ArgumentError("midpoint requires --a VALUE (the family parameter to test)")
     f = _input_mapping(args)
     return CommandResult("OK", {"a": args.a, "is_midpoint": midpoint_check(f, args.a)})
 
@@ -198,8 +188,6 @@ def _cmd_extreme_check(args) -> CommandResult:
 
 
 def _cmd_sharpen(args) -> CommandResult:
-    if args.z0 is None or args.delta0 is None:
-        raise _ArgumentError("sharpen requires --z0 RE[,IM] and --delta0 VALUE")
     f = _input_mapping(args)
     result = sharpening_exponent(f, args.z0, args.delta0)
     if result is None:
@@ -211,8 +199,6 @@ def _cmd_sharpen(args) -> CommandResult:
 
 
 def _cmd_functional(args) -> CommandResult:
-    if args.functional is None:
-        raise _ArgumentError("this subcommand requires --functional FILE")
     L = _load_functional(args.functional)
     f = _input_mapping(args)
     value = functional_eval(L, f)
@@ -239,8 +225,6 @@ def _cmd_certify_support(args) -> CommandResult:
 
 
 def _cmd_bonk(args) -> CommandResult:
-    if args.m is None:
-        raise _ArgumentError("bonk requires --m VALUE (the nonnegative level M)")
     bc = bonk_constants(args.m)
     slack = verify_bonk_constants(bc, n_samples=args.samples, seed=args.seed)
     payload = {**bc.to_dict(), "verified_min_slack": slack, "verification_samples": args.samples}
@@ -248,8 +232,6 @@ def _cmd_bonk(args) -> CommandResult:
 
 
 def _cmd_falsify(args) -> CommandResult:
-    if args.functional is None:
-        raise _ArgumentError("falsify requires --functional FILE")
     L = _load_functional(args.functional)
     f = _input_mapping(args)
     outcome = perturbation_falsifier(L, f)
@@ -265,7 +247,8 @@ def _cmd_decompose(args) -> CommandResult:
     return CommandResult("OK", {"status": "DECOMPOSED", **d.to_dict()})
 
 
-# add_argument settings of every option a subcommand can read
+# add_argument settings of every option a subcommand can read; a required
+# option is required by every subcommand that reads it
 _OPTIONS = {
     "--mapping": {"metavar": "FILE", "help": "mapping spec JSON with h/g coefficient lists"},
     "--family-a": {"type": float, "metavar": "A",
@@ -274,14 +257,15 @@ _OPTIONS = {
     "--seed": {"type": _parse_seed, "default": 0},
     "--grid": {"type": _parse_grid, "default": {}, "metavar": "RxT",
                "help": "polar grid sizes, radii x angles (default 64x128)"},
-    "--a": {"type": float, "help": "family parameter to test against"},
-    "--z0": {"type": _parse_complex, "metavar": "RE[,IM]"},
-    "--delta0": {"type": float},
-    "--functional": {"metavar": "FILE", "help": "functional spec JSON with A/B weight lists"},
+    "--a": {"type": float, "required": True, "help": "family parameter to test against"},
+    "--z0": {"type": _parse_complex, "required": True, "metavar": "RE[,IM]"},
+    "--delta0": {"type": float, "required": True},
+    "--functional": {"metavar": "FILE", "required": True,
+                     "help": "functional spec JSON with A/B weight lists"},
     "--lift": {"action": "store_true",
                "help": "also report the derivative-side lift and its value"},
     "--eps": {"type": float, "help": "also report the dilation bound at this eps"},
-    "--m": {"type": float, "help": "nonnegative level M"},
+    "--m": {"type": float, "required": True, "help": "nonnegative level M"},
     "--out": {"metavar": "FILE", "help": "write output here instead of stdout"},
 }
 
@@ -328,8 +312,11 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
+        # exactly one mapping source: argparse reports a missing or a second one
+        source = p.add_mutually_exclusive_group(required=True) \
+            if set(options) & set(_MAPPING) else None
         for flag in (*options, "--out"):
-            p.add_argument(flag, **_OPTIONS[flag])
+            (source if flag in _MAPPING else p).add_argument(flag, **_OPTIONS[flag])
         p.set_defaults(handler=handler)
         if name in _SAMPLES:
             p.set_defaults(samples=_SAMPLES[name])
@@ -355,13 +342,11 @@ def run(argv) -> CommandResult:
                     fh.write("\n")
         return result
     except (_ArgumentError, ValueError, RuntimeError, OSError) as exc:
-        return CommandResult("ERROR", None, [str(exc)])
+        return CommandResult("ERROR", None, [str(exc) or "unspecified error"])
 
 
 def main(argv=None) -> int:
     result = run(sys.argv[1:] if argv is None else list(argv))
-    if result.status == "ERROR" and not result.diagnostics:
-        result.diagnostics = ["unspecified error"]
     for line in result.diagnostics:
         print(line, file=sys.stderr)
     if result.text is not None and not result.out_path:

@@ -436,14 +436,19 @@ def mapping_from_dict(data: dict) -> HarmonicMapping:
 
 
 def save_mapping(f: HarmonicMapping, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(mapping_to_dict(f), fh, indent=2)
 
 
-def load_mapping(path) -> HarmonicMapping:
-    with open(path) as fh:
+def _read_json(path, what: str):
+    """The parsed content of a UTF-8 JSON input file; ``what`` names the
+    kind of file in the error for malformed JSON."""
+    with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed mapping file {path}: {exc}") from exc
-    return mapping_from_dict(data)
+            raise ValueError(f"malformed {what} file {path}: {exc}") from exc
+
+
+def load_mapping(path) -> HarmonicMapping:
+    return mapping_from_dict(_read_json(path, "mapping"))

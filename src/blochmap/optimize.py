@@ -171,14 +171,14 @@ def maximize_on_disk(values) -> MaximizationResult:
     best_z = complex(pts[k])
     best_v = float(vals[k])
     probes = best_z + 1e-6 * np.array([1.0, -1.0, 1j, -1j])
+    # the compass keeps best_z within the cap, so the probe stepped toward
+    # the origin always survives this filter
     probes = probes[np.abs(probes) <= DISK_RADIUS_CAP]
-    drop = 0.0
-    if probes.size:
-        pv = values(probes)
-        j = int(np.argmax(pv))
-        drop = best_v - float(pv[j])
-        if drop < 0.0:
-            best_v = float(pv[j])
-            best_z = complex(probes[j])
+    pv = values(probes)
+    j = int(np.argmax(pv))
+    drop = best_v - float(pv[j])
+    if drop < 0.0:
+        best_v = float(pv[j])
+        best_z = complex(probes[j])
     accuracy = max(1e-12, abs(drop))
     return MaximizationResult(best_v, accuracy, best_z)

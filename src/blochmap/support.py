@@ -131,10 +131,8 @@ def lift_to_derivative(L: LinearFunctional) -> LinearFunctional:
 
 def dilation_bound(L: LinearFunctional, f: HarmonicMapping, eps: float):
     """(K, actual) where |L(f((1-eps)z)) - L(f)| <= eps*K is guaranteed by
-    K = sum_k k(|A_k||a_k| + |B_k||b_k|), since |(1-eps)^k - 1| <= k*eps."""
-    eps = float(eps)
-    if not 0.0 < eps <= 1.0:
-        raise ValueError("dilation parameter must lie in (0, 1]")
+    K = sum_k k(|A_k||a_k| + |B_k||b_k|), since |(1-eps)^k - 1| <= k*eps;
+    ``dilate`` rejects an eps outside (0, 1]."""
     K = _dilation_constant(L, f)
     shrunk = (dilate(f.h, eps), dilate(f.g, eps))
     actual = abs(functional_eval(L, shrunk) - functional_eval(L, f))

@@ -302,9 +302,52 @@ def test_error_missing_mapping(capsys):
 
 def test_error_mutually_exclusive_inputs(capsys, tmp_path):
     path = write_mapping(tmp_path, "id.json", [0.0, 1.0], [0.0])
-    code, _, err = run_cli(capsys, "beta", "--mapping", path, "--family-a", "1.0")
+    code, out, err = run_cli(capsys, "beta", "--mapping", path, "--family-a", "1.0")
     assert code == 1
-    assert "mutually exclusive" in err
+    assert out == ""
+    assert "--mapping" in err and "--family-a" in err
+
+
+# each call leaves out options its subcommand requires; stderr names them all
+MISSING_REQUIRED = {
+    "sharpen": (["sharpen", "--family-a", "1.0"], ["--z0", "--delta0"]),
+    "sharpen-z0-only": (["sharpen", "--family-a", "1.0", "--z0", "0"], ["--delta0"]),
+    "sharpen-mapping": (["sharpen", "--z0", "0", "--delta0", "0.9"], ["--mapping", "--family-a"]),
+    "midpoint": (["midpoint", "--family-a", "1.0"], ["--a"]),
+    "functional": (["functional", "--family-a", "1.0"], ["--functional"]),
+    "falsify": (["falsify", "--family-a", "1.0"], ["--functional"]),
+    "bonk": (["bonk"], ["--m"]),
+    "counterexample": (["counterexample"], ["--family-a"]),
+}
+
+
+@pytest.mark.parametrize("argv, missing", MISSING_REQUIRED.values(), ids=MISSING_REQUIRED.keys())
+def test_missing_required_option_is_named(capsys, argv, missing):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    for option in missing:
+        assert option in err
+
+
+def test_help_shows_required_options_unbracketed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sharpen", "--help"])
+    assert exc.value.code == 0
+    # the usage block ends at the first blank line; wrapping may split it
+    usage = " ".join(capsys.readouterr().out.split("\n\n")[0].split())
+    assert "(--mapping FILE | --family-a A)" in usage
+    assert "--z0 RE[,IM]" in usage and "[--z0" not in usage
+    assert "--delta0 DELTA0" in usage and "[--delta0" not in usage
+
+
+def test_grid_with_non_decimal_digits_is_rejected_with_the_grid_message(capsys):
+    # "²".isdigit() holds, but int() refuses it
+    code, out, err = run_cli(capsys, "mu-grid", "--family-a", "1", "--grid", "²x4")
+    assert code == 1
+    assert out == ""
+    assert "grid sizes are written RxT" in err
+    assert "_parse_grid" not in err
 
 
 def test_error_missing_file(capsys):
