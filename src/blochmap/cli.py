@@ -9,7 +9,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,19 +41,6 @@ from .support import (
     verify_bonk_constants,
 )
 from .series import differentiate
-
-EXIT_CODES = {"OK": 0, "ERROR": 1, "FLAGGED": 2}
-
-
-@dataclass
-class CommandResult:
-    status: str
-    payload: dict | None
-    diagnostics: list = field(default_factory=list)
-    render: str = "json"
-    out_path: str | None = None
-    text: str | None = None
-
 
 class _ArgumentError(Exception):
     pass
@@ -90,11 +76,9 @@ def _render_csv(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _render(result: CommandResult) -> str:
-    if result.render == "csv":
-        return _render_csv(result.payload)
+def _render(payload: dict) -> str:
     try:
-        return json.dumps(result.payload, indent=2, allow_nan=False, default=_json_default)
+        return json.dumps(payload, indent=2, allow_nan=False, default=_json_default)
     except ValueError as exc:
         raise ValueError("payload contains a non-finite number") from exc
 
@@ -138,67 +122,59 @@ def _load_functional(path: str) -> LinearFunctional:
     return LinearFunctional.from_dict(_read_json(path, "functional"))
 
 
-def _cmd_beta(args) -> CommandResult:
+# each handler returns (output, flag): a JSON payload dict or CSV text, and
+# None or the one-line diagnostic of a FLAGGED result
+def _cmd_beta(args):
     f = _input_mapping(args)
     est = estimate_bloch_constant(f)
-    payload = {
+    return {
         "beta": est.value,
         "accuracy": est.accuracy,
         "argmax": [est.argmax.real, est.argmax.imag],
         "norm": abs(f.value_at_origin) + est.value,
-    }
-    return CommandResult("OK", payload)
+    }, None
 
 
-def _cmd_mu_grid(args) -> CommandResult:
-    f = _input_mapping(args)
-    rows = mu_grid_rows(f, **args.grid)
-    payload = {"header": ["re", "im", "mu"], "rows": rows}
-    return CommandResult("OK", payload, render="csv")
+def _cmd_mu_grid(args):
+    rows = mu_grid_rows(_input_mapping(args), **args.grid)
+    return _render_csv({"header": ["re", "im", "mu"], "rows": rows}), None
 
 
-def _cmd_lambda(args) -> CommandResult:
-    f = _input_mapping(args)
-    rep = lambda_set(f)
-    status = "FLAGGED" if rep.flagged else "OK"
-    diags = ["Bloch norm exceeds one beyond tolerance; level-set points are unreliable"] \
-        if rep.flagged else []
-    return CommandResult(status, rep.to_dict(), diags)
+def _cmd_lambda(args):
+    rep = lambda_set(_input_mapping(args))
+    flag = "Bloch norm exceeds one beyond tolerance; level-set points are unreliable"
+    return rep.to_dict(), flag if rep.flagged else None
 
 
-def _cmd_membership(args) -> CommandResult:
+def _cmd_membership(args):
     rep = membership(_input_mapping(args))
-    status = "FLAGGED" if rep.marginal else "OK"
-    diags = ["norm sits on the unit sphere within optimizer accuracy"] if rep.marginal else []
-    return CommandResult(status, rep.to_dict(), diags)
+    flag = "norm sits on the unit sphere within optimizer accuracy"
+    return rep.to_dict(), flag if rep.marginal else None
 
 
-def _cmd_counterexample(args) -> CommandResult:
-    return CommandResult("OK", mapping_to_dict(counterexample_family(args.family_a)))
+def _cmd_counterexample(args):
+    return mapping_to_dict(counterexample_family(args.family_a)), None
 
 
-def _cmd_midpoint(args) -> CommandResult:
-    f = _input_mapping(args)
-    return CommandResult("OK", {"a": args.a, "is_midpoint": midpoint_check(f, args.a)})
+def _cmd_midpoint(args):
+    return {"a": args.a, "is_midpoint": midpoint_check(_input_mapping(args), args.a)}, None
 
 
-def _cmd_extreme_check(args) -> CommandResult:
-    rep = extreme_necessity(_input_mapping(args))
-    return CommandResult("OK", rep.to_dict())
+def _cmd_extreme_check(args):
+    return extreme_necessity(_input_mapping(args)).to_dict(), None
 
 
-def _cmd_sharpen(args) -> CommandResult:
-    f = _input_mapping(args)
-    result = sharpening_exponent(f, args.z0, args.delta0)
+def _cmd_sharpen(args):
+    result = sharpening_exponent(_input_mapping(args), args.z0, args.delta0)
     if result is None:
         diag = f"no exponent up to {MAX_EXPONENT} closed the bound; input flagged for review"
-        return CommandResult("FLAGGED", {"status": "NOT_FOUND"}, [diag])
+        return {"status": "NOT_FOUND"}, diag
     # sharpening_exponent returns only witnesses whose dense-grid margin
     # exceeds MARGIN_FLOOR, so a found witness is never flagged
-    return CommandResult("OK", {"status": "FOUND", **result.to_dict()})
+    return {"status": "FOUND", **result.to_dict()}, None
 
 
-def _cmd_functional(args) -> CommandResult:
+def _cmd_functional(args):
     L = _load_functional(args.functional)
     f = _input_mapping(args)
     value = functional_eval(L, f)
@@ -213,38 +189,34 @@ def _cmd_functional(args) -> CommandResult:
     if args.eps is not None:
         K, actual = dilation_bound(L, f, args.eps)
         payload["dilation"] = {"eps": args.eps, "K": K, "actual": actual}
-    return CommandResult("OK", payload)
+    return payload, None
 
 
-def _cmd_certify_support(args) -> CommandResult:
-    f = _input_mapping(args)
-    cert = support_certificate(f, args.samples, args.seed)
+def _cmd_certify_support(args):
+    cert = support_certificate(_input_mapping(args), args.samples, args.seed)
     if cert is None:
-        return CommandResult("OK", {"status": "NONE"})
-    return CommandResult("OK", {"status": "CERTIFIED", **cert.to_dict()})
+        return {"status": "NONE"}, None
+    return {"status": "CERTIFIED", **cert.to_dict()}, None
 
 
-def _cmd_bonk(args) -> CommandResult:
+def _cmd_bonk(args):
     bc = bonk_constants(args.m)
     slack = verify_bonk_constants(bc, n_samples=args.samples, seed=args.seed)
-    payload = {**bc.to_dict(), "verified_min_slack": slack, "verification_samples": args.samples}
-    return CommandResult("OK", payload)
+    return {**bc.to_dict(), "verified_min_slack": slack,
+            "verification_samples": args.samples}, None
 
 
-def _cmd_falsify(args) -> CommandResult:
-    L = _load_functional(args.functional)
-    f = _input_mapping(args)
-    outcome = perturbation_falsifier(L, f)
-    if outcome.status is FalsifierStatus.CONSTRUCTION_FAILED:
-        return CommandResult("FLAGGED", outcome.to_dict(), [outcome.message])
-    return CommandResult("OK", outcome.to_dict())
+def _cmd_falsify(args):
+    outcome = perturbation_falsifier(_load_functional(args.functional), _input_mapping(args))
+    failed = outcome.status is FalsifierStatus.CONSTRUCTION_FAILED
+    return outcome.to_dict(), outcome.message if failed else None
 
 
-def _cmd_decompose(args) -> CommandResult:
+def _cmd_decompose(args):
     d = decompose_support_point(_input_mapping(args))
     if d is None:
-        return CommandResult("OK", {"status": "NONE"})
-    return CommandResult("OK", {"status": "DECOMPOSED", **d.to_dict()})
+        return {"status": "NONE"}, None
+    return {"status": "DECOMPOSED", **d.to_dict()}, None
 
 
 # add_argument settings of every option a subcommand can read; a required
@@ -323,38 +295,30 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def run(argv) -> CommandResult:
-    """Parse arguments, execute one subcommand, render its payload and write
-    it to ``--out`` if given; never raises for user errors, which come back
-    as ERROR results with a diagnostic.  A payload that cannot be rendered (a
-    non-finite number) or an ``--out`` file that cannot be written is such
-    an error too."""
+def main(argv=None) -> int:
+    """Run one subcommand; return 0, 2 when FLAGGED, or 1 on an error, which
+    prints one line to stderr and no payload.  ``--out`` is opened only once
+    the payload has rendered."""
     try:
         args = _build_parser().parse_args(argv)
-        result = args.handler(args)
-        result.out_path = args.out
-        if result.payload is not None:
-            result.text = _render(result)
-            if result.out_path:
-                with open(result.out_path, "w", encoding="utf-8") as fh:
-                    # two writes: text + "\n" would copy a multi-megabyte CSV
-                    fh.write(result.text)
-                    fh.write("\n")
-        return result
+        output, flag = args.handler(args)
+        text = output if isinstance(output, str) else _render(output)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                # two writes: text + "\n" would copy a multi-megabyte CSV
+                fh.write(text)
+                fh.write("\n")
     except (_ArgumentError, ValueError, RuntimeError, OSError) as exc:
-        return CommandResult("ERROR", None, [str(exc) or "unspecified error"])
-
-
-def main(argv=None) -> int:
-    result = run(sys.argv[1:] if argv is None else list(argv))
-    for line in result.diagnostics:
-        print(line, file=sys.stderr)
-    if result.text is not None and not result.out_path:
+        print(str(exc) or "unspecified error", file=sys.stderr)
+        return 1
+    if flag is not None:
+        print(flag, file=sys.stderr)
+    if not args.out:
         try:
-            print(result.text)
+            print(text)
         except BrokenPipeError:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return EXIT_CODES[result.status]
+    return 0 if flag is None else 2
 
 
 if __name__ == "__main__":

@@ -105,8 +105,6 @@ def _parts(target):
 
 def _dot(weights: np.ndarray, coefficients: np.ndarray) -> complex:
     n = min(weights.size, coefficients.size)
-    if n == 0:
-        return 0j
     return complex(np.dot(weights[:n], coefficients[:n]))
 
 

@@ -6,6 +6,7 @@ import pytest
 from blochmap import AnalyticSeries, HarmonicMapping, load_mapping, save_mapping
 from blochmap import cli
 from blochmap.cli import main
+from blochmap.support import FalsifierOutcome, FalsifierStatus
 
 INV_SQRT3 = 0.5773502691896258
 
@@ -243,6 +244,28 @@ def test_falsify_not_applicable(capsys, tmp_path):
     assert json.loads(out)["status"] == "NOT_APPLICABLE"
 
 
+def test_falsify_construction_failure_is_flagged(capsys, tmp_path, monkeypatch):
+    message = "no verified eps after repeated shrinking"
+    failed = FalsifierOutcome(FalsifierStatus.CONSTRUCTION_FAILED, message, 0.5)
+    monkeypatch.setattr(cli, "perturbation_falsifier", lambda L, f: failed)
+    mpath = write_mapping(tmp_path, "id.json", [0.0, 1.0], [0.0])
+    fpath = write_functional(tmp_path, "L.json", [[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0]])
+    code, out, err = run_cli(capsys, "falsify", "--mapping", mpath, "--functional", fpath)
+    assert code == 2
+    assert json.loads(out)["status"] == "CONSTRUCTION_FAILED"
+    assert err.strip() == message
+
+
+def test_flagged_result_written_to_out_file(capsys, tmp_path):
+    code, printed, _ = run_cli(capsys, "membership", "--family-a", "1.0")
+    assert code == 2
+    out_path = tmp_path / "membership.json"
+    code, out, err = run_cli(capsys, "membership", "--family-a", "1.0", "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert "unit sphere" in err
+    assert out_path.read_bytes() == printed.encode("utf-8")
+
+
 def test_decompose_command(capsys, tmp_path):
     scale = 3.0 * np.sqrt(3.0) / 8.0
     path = write_mapping(tmp_path, "shift.json",
@@ -453,7 +476,7 @@ def test_json_hook_serializes_numpy_and_complex_values():
         "pair": (1, 2.5),
         "nested": [np.float64(1.0 / 3.0), (np.int32(-2), None, "s")],
     }
-    text = cli._render(cli.CommandResult("OK", payload))
+    text = cli._render(payload)
     back = json.loads(text)
     assert back == {
         "flag": True,
@@ -468,7 +491,7 @@ def test_json_hook_serializes_numpy_and_complex_values():
     assert back["flag"] is True and type(back["count"]) is int
     assert str(back["nz"][0]) == "-0.0"
     with pytest.raises(TypeError):
-        cli._render(cli.CommandResult("OK", {"x": object()}))
+        cli._render({"x": object()})
 
 
 # the level tolerance is a constant, so a --tol of any value, here in the

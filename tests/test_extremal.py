@@ -8,6 +8,7 @@ from blochmap import (
     LevelSetShape,
     MobiusAutomorphism,
     Ternary,
+    bloch_constant,
     bloch_norm,
     coefficient_conditions,
     counterexample_family,
@@ -22,6 +23,7 @@ from blochmap import (
     sharpening_exponent,
     verify_sharpening,
 )
+from blochmap.extremal import FINITE_CLUSTER_LIMIT
 
 IDENTITY = HarmonicMapping(AnalyticSeries([0.0, 1.0]), AnalyticSeries([0.0]))
 INV_SQRT3 = 0.5773502691896258
@@ -192,6 +194,26 @@ def test_extreme_necessity_composed_identity_stays_isolated(center):
     assert rep.lambda_report.classification is LevelSetShape.ISOLATED
     assert rep.lambda_report.points.size == 1
     assert rep.verdict is ExtremeVerdict.NOT_EXTREME
+
+
+# h = b z + z^(n+1)/(n+1), g = 0, scaled to beta = 1: mu peaks at the n points
+# near |z| = 0.89 where z^n > 0.  The screen calls at most FINITE_CLUSTER_LIMIT
+# isolated clusters a finite level set; for the paper, 9 isolated points are
+# still a finite level set, so the UNRESOLVED case pins the code's rule, not
+# the theorem
+@pytest.mark.parametrize("n, b, verdict", [(8, 0.02, ExtremeVerdict.NOT_EXTREME),
+                                           (9, 0.03, ExtremeVerdict.UNRESOLVED)])
+def test_extreme_necessity_finite_cluster_limit(n, b, verdict):
+    h = np.zeros(n + 2)
+    h[1], h[n + 1] = b, 1.0 / (n + 1)
+    f = HarmonicMapping(AnalyticSeries(h), AnalyticSeries([0.0]))
+    rep = extreme_necessity(scale_mapping(f, 1.0 / bloch_constant(f)))
+    lam = rep.lambda_report
+    assert lam.classification is LevelSetShape.ISOLATED
+    assert lam.cluster_count == lam.points.size == n
+    assert np.abs(np.abs(lam.points) - 0.89).max() < 0.01
+    assert (n <= FINITE_CLUSTER_LIMIT) is (verdict is ExtremeVerdict.NOT_EXTREME)
+    assert rep.verdict is verdict
 
 
 def test_extreme_necessity_requires_normalized_membership():

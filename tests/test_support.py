@@ -65,6 +65,14 @@ def test_functional_eval_missing_coefficients_read_zero():
     assert functional_eval(L, f) == 0.0
 
 
+def test_functional_with_no_weights_is_zero():
+    L = LinearFunctional([], [])
+    assert L.effectively_zero
+    rng = np.random.default_rng(3)
+    for f in (IDENTITY, counterexample_family(0.75), random_mapping(rng, constant=True)):
+        assert functional_eval(L, f) == 0j
+
+
 def test_functional_additive_and_real_homogeneous():
     rng = np.random.default_rng(0)
     for _ in range(10):
