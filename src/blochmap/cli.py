@@ -303,7 +303,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         output, flag = args.handler(args)
         text = output if isinstance(output, str) else _render(output)
-        if args.out:
+        if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as fh:
                 # two writes: text + "\n" would copy a multi-megabyte CSV
                 fh.write(text)
@@ -313,7 +313,7 @@ def main(argv=None) -> int:
         return 1
     if flag is not None:
         print(flag, file=sys.stderr)
-    if not args.out:
+    if args.out is None:
         try:
             print(text)
         except BrokenPipeError:

@@ -79,6 +79,15 @@ def compass_maximize(evaluate, starts, initial_step, *, step_tol=1e-10,
     the level-set search of ``lambda_set`` and ``sup_modulus`` and the
     touching-point refinement of ``support_certificate`` maximize, and the
     routed ``mu_rows`` of ``support._batch_ratio_max``.
+
+    With more walkers active, one call carries one iteration.  A walker
+    moves when the largest value among its candidates beats its own; a NaN
+    candidate makes that maximum NaN and so keeps the walker in place, as it
+    would if argmax picked the NaN.  Only the walkers that move look up
+    which candidate won.  Candidates beyond ``DISK_RADIUS_CAP`` count as
+    ``-inf``; that mask is applied only to walkers whose ``|z| + step`` comes
+    within 1e-9 of the cap, since from further in rounding cannot carry a
+    candidate past it.
     """
     z = np.array(starts, dtype=complex)
     walkers = None if walkers is None else np.asarray(walkers)
@@ -108,23 +117,36 @@ def compass_maximize(evaluate, starts, initial_step, *, step_tol=1e-10,
             pts = za[None, :] + moves
         wk = None if wa is None else np.tile(wa, pts.shape[0])
         vals = evaluate(pts.ravel(), wk).reshape(pts.shape)
-        vals[np.abs(pts) > DISK_RADIUS_CAP] = -np.inf
-        # each block's best row and value
-        pick = vals.reshape(-1, 4, n).argmax(axis=1)
-        rows = _BLOCK_STARTS[:pick.shape[0]] + pick
-        best = vals[rows, every]
-        moved = best[0] > va
-        np.copyto(za, pts[pick[0], every], where=moved)
-        np.copyto(va, best[0], where=moved)
-        np.multiply(sa, 0.5, out=sa, where=~moved)
-        done += 1
         if two:
+            vals[np.abs(pts) > DISK_RADIUS_CAP] = -np.inf
+            # each block's best row and value
+            pick = vals.reshape(-1, 4, n).argmax(axis=1)
+            rows = _BLOCK_STARTS + pick
+            best = vals[rows, every]
+            moved = best[0] > va
+            np.copyto(za, pts[pick[0], every], where=moved)
+            np.copyto(va, best[0], where=moved)
+            np.multiply(sa, 0.5, out=sa, where=~moved)
             block = np.where(moved, pick[0] + 2, 1)
             second = best[block, every]
             # a walker frozen by the first iteration stays where it is
             moved = (second > va) & (sa > step_tol)
             np.copyto(za, pts[rows[block, every], every], where=moved)
             np.copyto(va, second, where=moved)
+            np.multiply(sa, 0.5, out=sa, where=~moved)
+            done += 2
+        else:
+            # only walkers at the rim can have a candidate past the cap
+            rim = np.flatnonzero(np.abs(za) + sa > DISK_RADIUS_CAP - 1e-9)
+            if rim.size:
+                vals[:, rim] = np.where(np.abs(pts[:, rim]) > DISK_RADIUS_CAP, -np.inf,
+                                        vals[:, rim])
+            # a NaN candidate makes its column max NaN, which moves nothing
+            moved = vals.max(axis=0) > va
+            cols = np.flatnonzero(moved)
+            pick = vals[:, cols].argmax(axis=0)
+            za[cols] = pts[pick, cols]
+            va[cols] = vals[pick, cols]
             np.multiply(sa, 0.5, out=sa, where=~moved)
             done += 1
         live = sa > step_tol
@@ -144,17 +166,48 @@ class MaximizationResult:
     argmax: complex
 
 
+# points of the value order tested per vectorized pass of _spread_top_indices
+SPREAD_WINDOW = 128
+
+
+def _far_from(cand, p, min_sep):
+    # |cand - p| >= min_sep; np.hypot rounds as abs() of one numpy complex
+    # does, where np.abs of a complex array may take a SIMD path that differs
+    # in the last bit
+    d = cand - p
+    return np.hypot(d.real, d.imag) >= min_sep
+
+
 def _spread_top_indices(points, values, count, min_sep):
-    # greedy pick of high-value grid points kept pairwise min_sep apart
+    """Greedy pick of high-value grid points kept pairwise min_sep apart.
+
+    Walks the points in ``argsort(values)[::-1]`` order and accepts one
+    unless it lies within ``min_sep`` of an earlier pick.  The order is read
+    in windows of ``SPREAD_WINDOW`` points: each window is first tested
+    against the picks already made, then every pick made inside it excludes
+    its later neighbours in one vectorized pass.  A distance is computed from
+    the same difference ``candidate - pick`` as a pairwise loop would, so the
+    picks are the loop's to the last bit; a NaN distance excludes, as it
+    does there.
+    """
     order = np.argsort(values)[::-1]
+    cand = points[order]
     chosen = []
-    for i in order:
-        p = points[i]
-        if all(abs(p - points[j]) >= min_sep for j in chosen):
-            chosen.append(int(i))
-            if len(chosen) == count:
+    for start in range(0, order.size, SPREAD_WINDOW):
+        win = cand[start:start + SPREAD_WINDOW]
+        picks = cand[chosen]
+        alive = _far_from(win[None, :], picks[:, None], min_sep).all(axis=0)
+        i = 0
+        while i < win.size:
+            i += int(alive[i:].argmax())
+            if not alive[i]:
                 break
-    return np.asarray(chosen, dtype=int)
+            chosen.append(start + i)
+            if len(chosen) == count:
+                return order[chosen]
+            i += 1
+            alive[i:] &= _far_from(win[i:], win[i - 1], min_sep)
+    return order[chosen]
 
 
 def maximize_on_disk(values) -> MaximizationResult:

@@ -310,6 +310,14 @@ def test_unwritable_output_file_is_a_one_line_error(capsys, tmp_path, command):
     assert not out_path.parent.exists()
 
 
+def test_empty_output_path_is_an_error(capsys):
+    # an empty --out names no file: it fails to open instead of falling back
+    # to stdout
+    code, out, err = run_cli(capsys, "beta", "--family-a", "1.0", "--out", "")
+    assert (code, out) == (1, "")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_error_unknown_command(capsys):
     code, out, err = run_cli(capsys, "frobnicate")
     assert code == 1

@@ -256,7 +256,10 @@ def test_ratio_max_runs_compass_only_on_surviving_rows(family_chunk, monkeypatch
     monkeypatch.setattr(support, "compass_maximize", counting)
     got = support._batch_ratio_max(h, g, z0, np.random.default_rng(5), lvals, 16)
     assert got == (lvals / betas).max()
-    assert walkers[0] == 3 * 16
+    # the aligned rows hold four copies each of f, its Mobius identity row and
+    # its co-identity row: equal rows share their z0 and grid walks
+    distinct = len({(h[i].tobytes(), g[i].tobytes()) for i in range(16)})
+    assert walkers[0] == 2 * distinct + 16 == 30
     assert sum(walkers) <= 3 * (16 + surviving)
     assert surviving < (512 - 16) // 4
     assert (surviving > 0) == (boost > 1.0)
@@ -721,6 +724,10 @@ def disk_starts(n, r, seed):
     return r * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
 
 
+# |z|^3 (1 - |z|^2): it grows outward to its peak at |z| = sqrt(3/5)
+OUTWARD = mapping._weighted_abs_sum(np.array([0.0, 0.0, 0.0, 1.0]), np.array([0.0]))
+
+
 @pytest.mark.parametrize("max_iter", [1, 2, 3, 400])
 @pytest.mark.parametrize("walkers", [1, 20, 63, 64, 65, 384])
 def test_compass_matches_one_iteration_per_call(walkers, max_iter):
@@ -754,12 +761,23 @@ def test_compass_masks_candidates_beyond_r_max(max_iter):
     step = 0.01
     angles = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False) + 0.1
     starts = np.r_[(DISK_RADIUS_CAP - 0.6 * step) * np.exp(1j * angles), 0.99, -0.99j]
-    # |z|, and (1 - |z|^2) |z|^3, which peaks inside at |z| = sqrt(3/5)
-    values = mapping._weighted_abs_sum(np.array([0.0, 0.0, 0.0, 1.0]), np.array([0.0]))
-    for f in (np.abs, values):
+    for f in (np.abs, OUTWARD):
         check_same_walk(f, starts, step, max_iter=max_iter)
     z, _ = compass_maximize(lambda z, _w: np.abs(z), starts, step, max_iter=max_iter)
     assert np.abs(z).max() <= DISK_RADIUS_CAP
+
+
+@pytest.mark.parametrize("max_iter", [1, 3, 400])
+def test_compass_masks_rim_walkers_on_wide_sweeps(max_iter):
+    # 96 starts within one step of r_max beside 40 inner ones: one iteration
+    # per call, which masks the candidates of the walkers at the rim only
+    step = 0.01
+    angles = np.linspace(0.0, 2.0 * np.pi, 96, endpoint=False) + 0.1
+    starts = np.r_[(DISK_RADIUS_CAP - 0.6 * step) * np.exp(1j * angles), disk_starts(40, 0.9, 2)]
+    assert starts.size > optimize.LOOKAHEAD_WALKERS
+    for f in (np.abs, OUTWARD):
+        got, _ = check_same_walk(f, starts, step, max_iter=max_iter)
+        assert got[1] == 4 * starts.size
 
 
 def test_compass_ties_go_to_the_first_candidate():
@@ -767,6 +785,25 @@ def test_compass_ties_go_to_the_first_candidate():
     check_same_walk(lambda z: np.ones(z.shape), starts, 0.1)
     # plateaus: several candidates share the best value
     check_same_walk(lambda z: -np.round(np.abs(z - 0.2), 1), starts, 0.1)
+
+
+@pytest.mark.parametrize("n", [20, 200])
+def test_compass_nan_candidates_never_move_a_walker(n):
+    # NaN above a line and on a lattice of thin strips: a NaN candidate stops
+    # its walker from moving even beside a better one, and a NaN start never
+    # moves; 200 walkers start on the one-iteration path
+    values = mapping._mu_values(FAMILY)
+
+    def holed(z):
+        out = values(z)
+        out[(z.imag > 0.4) | (np.abs(np.sin(40.0 * z.real)) < 0.05)] = np.nan
+        return out
+
+    starts = disk_starts(n, 0.95, n)
+    assert np.isnan(holed(starts)).any()
+    for max_iter in (1, 3, 3000):
+        got, _ = check_same_walk(holed, starts, 0.05, max_iter=max_iter)
+        assert got[1] == (4 if n > optimize.LOOKAHEAD_WALKERS or max_iter == 1 else 24) * n
 
 
 def test_compass_walker_frozen_by_first_halving():
@@ -792,6 +829,76 @@ def test_compass_routes_walkers_to_their_objectives():
         got = compass_maximize(routed, starts, 0.05, walkers=ids)
         want = reference_compass_maximize(routed, starts, 0.05, walkers=ids)
         assert same_raw_bits(got[0], want[0]) and same_raw_bits(got[1], want[1])
+
+
+def reference_spread_top_indices(points, values, count, min_sep):
+    # the pairwise greedy loop over the value order
+    order = np.argsort(values)[::-1]
+    chosen = []
+    for i in order:
+        p = points[i]
+        if all(abs(p - points[j]) >= min_sep for j in chosen):
+            chosen.append(int(i))
+            if len(chosen) == count:
+                break
+    return np.asarray(chosen, dtype=int)
+
+
+def spread_case(name):
+    # (points, values, count, min_sep) of maximize_on_disk's seed pick, or a
+    # variant of it
+    grid = polar_grid(*optimize.DISK_GRID)
+    mu_on = lambda f: mapping._mu_values(f)(grid)
+    seeding = (optimize.N_STARTS, optimize.GRID_STEP)
+    if name == "identity":
+        # tied rings: about 800 points of the order are read before 20 picks
+        return (grid, mu_on(IDENTITY), *seeding)
+    if name == "family":
+        return (grid, mu_on(FAMILY), *seeding)
+    if name.startswith("poly"):
+        rng = np.random.default_rng(int(name[4:]))
+        return (grid, mu_on(kernel_mappings(int(name[4:]), rng)[0]), *seeding)
+    if name == "constant":
+        return (grid, np.ones(grid.size), *seeding)
+    if name == "nan":
+        values = mu_on(FAMILY)
+        values[::37] = np.nan
+        return (grid, values, *seeding)
+    if name == "sparse":
+        # 13 points, fewer than count of them pairwise min_sep apart
+        small = polar_grid(2, 6)
+        return (small, np.abs(small - 0.3), optimize.N_STARTS, 0.6)
+    if name == "tie":
+        # a point exactly min_sep from the first pick is kept; w[k] is one
+        # whose |w| a complex-array np.abs rounds lower than abs() does, where
+        # that SIMD path exists
+        rng = np.random.default_rng(5)
+        w = rng.uniform(0.4, 0.6, 64) * np.exp(2j * np.pi * rng.random(64))
+        k = int(np.argmin(np.abs(w) - np.hypot(w.real, w.imag)))
+        return (np.array([0j, w[k], 0.9]), np.array([3.0, 2.0, 1.0]), 2, float(abs(w[k])))
+    assert name == "deep"
+    # many picks: the scan reads window after window
+    return (grid, mu_on(FAMILY), 300, optimize.GRID_STEP)
+
+
+@pytest.mark.parametrize("name", ["identity", "family", "poly2", "poly8", "poly30", "poly60",
+                                  "constant", "nan", "sparse", "tie", "deep"])
+def test_spread_top_indices_matches_pairwise_loop(name):
+    points, values, count, min_sep = spread_case(name)
+    got = optimize._spread_top_indices(points, values, count, min_sep)
+    want = reference_spread_top_indices(points, values, count, min_sep)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    order = np.argsort(values)[::-1]
+    last = np.flatnonzero(np.isin(order, want)).max()
+    if name in ("identity", "deep"):
+        assert want.size == count and last >= optimize.SPREAD_WINDOW
+    if name == "sparse":
+        assert 1 < want.size < count
+    if name == "tie":
+        assert want.tolist() == [0, 1]
+    if name == "nan":
+        # NaN sorts last, so it leads the descending order
+        assert np.isnan(values[want[0]])
 
 
 def reference_block_linkage(pts, radius):

@@ -7,6 +7,7 @@ from blochmap import (
     AnalyticSeries,
     HarmonicMapping,
     LevelSetShape,
+    MobiusAutomorphism,
     Ternary,
     add_mappings,
     bloch_constant,
@@ -21,6 +22,7 @@ from blochmap import (
     metric_beta_estimate,
     mu,
     mu_grid_rows,
+    precompose,
     save_mapping,
     scale_mapping,
     sup_modulus,
@@ -291,10 +293,10 @@ def test_support_certificate_runs_one_search(monkeypatch):
     assert len(calls) == 1
 
 
-def property_mapping(seed):
-    # a random polynomial mapping of degree 2 to 30 and a rotation angle
+def property_mapping(seed, max_degree=30):
+    # a random polynomial mapping of degree 2 to max_degree and a rotation angle
     rng = np.random.default_rng([seed, 8])
-    degree = int(rng.integers(2, 31))
+    degree = int(rng.integers(2, max_degree + 1))
     h = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
     g = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
     g[0] = 0.0
@@ -327,3 +329,17 @@ def test_bloch_constant_lies_between_those_of_its_parts(seed):
     est_g = estimate_bloch_constant(HarmonicMapping(zero, f.g))
     assert max(est_h.value, est_g.value) <= est.value + est.accuracy
     assert est.value <= est_h.value + est_h.accuracy + est_g.value + est_g.accuracy
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_bloch_constant_invariant_under_disk_automorphisms(seed):
+    # beta(f o phi) = beta(f); precompose truncates f o phi at the given
+    # order and declares the dropped tail, which the estimate's accuracy holds
+    f, theta = property_mapping(seed, max_degree=12)
+    rng = np.random.default_rng([seed, 9])
+    center = 0.5 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+    degree = f.h.coefficients.size - 1
+    composed = precompose(f, MobiusAutomorphism(center, theta), 2 * degree + 40)
+    est = estimate_bloch_constant(f)
+    comp = estimate_bloch_constant(composed)
+    assert abs(comp.value - est.value) <= est.accuracy + comp.accuracy
