@@ -130,8 +130,7 @@ def precompose(f, phi: MobiusAutomorphism, order: int):
     def out_tail(series):
         if not series.is_exact:
             return np.inf
-        tb = _composition_tail(series.coefficients, abs(phi.center), order)
-        return None if tb == 0.0 else tb
+        return _composition_tail(series.coefficients, abs(phi.center), order)
 
     return HarmonicMapping(
         AnalyticSeries(h_new, out_tail(f.h)),

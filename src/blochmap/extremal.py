@@ -19,6 +19,7 @@ from .mapping import (
     _abs_sum,
     _disk_weight,
     _mu_values,
+    _tail_allowance,
     estimate_bloch_constant,
     lambda_set,
     little_bloch_status,
@@ -342,6 +343,11 @@ def sharpening_exponent(f: HarmonicMapping, z0, delta0: float):
     carries that confirmed margin as ``verified_margin``.  Returns None when
     the sweep of ``MAX_EXPONENT`` exponents over ``MAX_HALVINGS + 1`` radii
     is exhausted.
+
+    Every margin, here and in ``verify_sharpening``, is lowered by the
+    declared tails: by Schwarz-Pick a tail with coefficient sum at most T
+    adds at most T to (1 - |z|^2)(|h'| + |g'|), the same allowance the
+    accuracy of the Bloch constant carries.
     """
     z0 = complex(z0)
     delta0 = float(delta0)
@@ -353,12 +359,13 @@ def sharpening_exponent(f: HarmonicMapping, z0, delta0: float):
     if not bool((_mu_values(f)(base) < 1.0 - 1e-12).all()):
         raise ValueError("mu must stay below one on the punctured neighborhood")
     derivatives = _derivative_coefficients(f)
+    tail = _tail_allowance(f)
     delta = delta0
     for _ in range(MAX_HALVINGS + 1):
         pts = base if delta == delta0 else _punctured_samples(z0, delta, *SEARCH_GRID)
         for n in range(1, MAX_EXPONENT + 1):
             margins = _sharpening_margins(derivatives, pts, z0, n)
-            worst = float(margins.min())
+            worst = float(margins.min()) - tail
             if worst <= MARGIN_FLOOR:
                 continue
             candidate = SharpeningResult(n, delta, worst, z0)
@@ -377,8 +384,9 @@ BLOCK_POINTS = 1 << 14
 def verify_sharpening(f: HarmonicMapping, result: SharpeningResult,
                       n_radii: int = 1000, n_angles: int = 1000) -> float:
     """Re-check a sharpening witness on an independent, denser, offset grid;
-    returns the minimal margin found there.  The grid is built and reduced a
-    block of radius rows at a time, so memory stays O(BLOCK_POINTS + n_angles)."""
+    returns the minimal margin found there, less the declared tails.  The
+    grid is built and reduced a block of radius rows at a time, so memory
+    stays O(BLOCK_POINTS + n_angles)."""
     z0, n = result.center, result.exponent_n
     blocks = _punctured_blocks(z0, result.delta, n_radii, n_angles,
                                np.pi / (2.0 * n_angles), max(BLOCK_POINTS // n_angles, 1))
@@ -387,4 +395,4 @@ def verify_sharpening(f: HarmonicMapping, result: SharpeningResult,
     minima = [_sharpening_margins(derivatives, pts, z0, n).min() for pts in blocks if pts.size]
     if not minima:
         raise ValueError("punctured neighborhood does not meet the open disk")
-    return float(np.min(minima))
+    return float(np.min(minima)) - _tail_allowance(f)

@@ -132,7 +132,7 @@ def mu(f: HarmonicMapping, z) -> float:
 
 
 def _tail_allowance(f: HarmonicMapping) -> float:
-    return (f.h.tail_bound or 0.0) + (f.g.tail_bound or 0.0)
+    return f.h.tail_bound + f.g.tail_bound
 
 
 def estimate_bloch_constant(f: HarmonicMapping) -> MaximizationResult:
@@ -390,8 +390,8 @@ def mapping_to_dict(f: HarmonicMapping) -> dict:
     return {
         "h": pairs(f.h),
         "g": pairs(f.g),
-        "tail_bound_h": None if f.h.tail_bound is None else float(f.h.tail_bound),
-        "tail_bound_g": None if f.g.tail_bound is None else float(f.g.tail_bound),
+        "tail_bound_h": None if f.h.is_exact else f.h.tail_bound,
+        "tail_bound_g": None if f.g.is_exact else f.g.tail_bound,
     }
 
 

@@ -1,10 +1,11 @@
 """Truncated power-series algebra for analytic functions on the unit disk.
 
-A series is stored as its Taylor coefficients about 0 together with an
-optional declared bound on the absolute coefficient sum of the dropped tail.
-``tail_bound=None`` marks an exact polynomial; ``numpy.inf`` marks a tail that
-exists but carries no usable bound.  Declared bounds are used as-is; no
-geometric tail model is assumed.
+A series is stored as its Taylor coefficients about 0 together with a
+declared bound on the absolute coefficient sum of the dropped tail, always a
+float.  ``tail_bound == 0.0`` marks an exact polynomial (the constructor also
+reads ``None`` as 0.0); ``numpy.inf`` marks a tail that exists but carries no
+usable bound.  Declared bounds are used as-is; no geometric tail model is
+assumed.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class AnalyticSeries:
     """
 
     coefficients: np.ndarray
-    tail_bound: float | None = None
+    tail_bound: float = 0.0
 
     def __post_init__(self):
         coeffs = np.atleast_1d(np.asarray(self.coefficients, dtype=complex)).copy()
@@ -42,20 +43,17 @@ class AnalyticSeries:
             raise ValueError("coefficients must be finite")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
-        if self.tail_bound is not None:
-            tb = float(self.tail_bound)
-            if not tb >= 0.0:
-                raise ValueError("tail_bound must be nonnegative or None")
-            object.__setattr__(self, "tail_bound", tb)
-
-    @property
-    def truncation_order(self) -> int:
-        return self.coefficients.size - 1
+        # None (a Python default or a JSON null) is read as the exact 0.0
+        tb = self.tail_bound
+        tb = 0.0 if tb is None else float(tb)
+        if not tb >= 0.0:
+            raise ValueError("tail_bound must be nonnegative or None")
+        object.__setattr__(self, "tail_bound", tb)
 
     @property
     def is_exact(self) -> bool:
-        """True when the series is an exact polynomial (no tail, or zero tail)."""
-        return self.tail_bound is None or self.tail_bound == 0.0
+        """True when the series is an exact polynomial (a zero tail)."""
+        return self.tail_bound == 0.0
 
 
 def polyval_batch(coefficients, z):
@@ -107,8 +105,7 @@ def differentiate(s: AnalyticSeries) -> AnalyticSeries:
         dc = np.zeros(1, dtype=complex)
     else:
         dc = c[1:] * np.arange(1, c.size)
-    tb = None if s.is_exact else np.inf
-    return AnalyticSeries(dc, tb)
+    return AnalyticSeries(dc, 0.0 if s.is_exact else np.inf)
 
 
 def dilate(s: AnalyticSeries, epsilon: float) -> AnalyticSeries:
@@ -123,14 +120,6 @@ def dilate(s: AnalyticSeries, epsilon: float) -> AnalyticSeries:
     return AnalyticSeries(s.coefficients * factors, s.tail_bound)
 
 
-def _combined_order(s: AnalyticSeries, t: AnalyticSeries) -> int:
-    # exact polynomials pad with zeros; a declared tail caps the usable order
-    tailed = [u.truncation_order for u in (s, t) if not u.is_exact]
-    if tailed:
-        return min(tailed)
-    return max(s.truncation_order, t.truncation_order)
-
-
 def linear_combination(alpha, s: AnalyticSeries, beta, t: AnalyticSeries) -> AnalyticSeries:
     """alpha*s + beta*t.
 
@@ -139,19 +128,17 @@ def linear_combination(alpha, s: AnalyticSeries, beta, t: AnalyticSeries) -> Ana
     tailed series carries.  A declared tail caps the order: the result stops
     at the lowest order of a tailed input, and coefficients beyond it join
     the declared tail."""
-    order = _combined_order(s, t)
-    out = np.zeros(order + 1, dtype=complex)
-    cs = s.coefficients[: order + 1]
-    ct = t.coefficients[: order + 1]
+    tailed = [u.coefficients.size for u in (s, t) if not u.is_exact]
+    size = min(tailed) if tailed else max(s.coefficients.size, t.coefficients.size)
+    out = np.zeros(size, dtype=complex)
+    cs = s.coefficients[:size]
+    ct = t.coefficients[:size]
     out[: cs.size] += complex(alpha) * cs
     out[: ct.size] += complex(beta) * ct
-    if s.is_exact and t.is_exact:
-        tb = None
-    else:
-        tb = abs(alpha) * (s.tail_bound or 0.0) + abs(beta) * (t.tail_bound or 0.0)
-        if np.isfinite(tb):
-            # coefficients dropped by the truncation join the declared tail
-            dropped = abs(alpha) * np.abs(s.coefficients[order + 1:]).sum()
-            dropped += abs(beta) * np.abs(t.coefficients[order + 1:]).sum()
-            tb += dropped
+    tb = abs(alpha) * s.tail_bound + abs(beta) * t.tail_bound
+    if np.isfinite(tb):
+        # coefficients dropped by the truncation join the declared tail
+        dropped = abs(alpha) * np.abs(s.coefficients[size:]).sum()
+        dropped += abs(beta) * np.abs(t.coefficients[size:]).sum()
+        tb += dropped
     return AnalyticSeries(out, tb)

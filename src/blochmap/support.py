@@ -103,16 +103,21 @@ def _parts(target):
     return s, t
 
 
-def _dot(weights: np.ndarray, coefficients: np.ndarray) -> complex:
-    n = min(weights.size, coefficients.size)
-    return complex(np.dot(weights[:n], coefficients[:n]))
+def _dot(weights: np.ndarray, s: AnalyticSeries) -> complex:
+    n = min(weights.size, s.coefficients.size)
+    if not s.is_exact and np.any(weights[n:] != 0):
+        raise ValueError("functional weights reach beyond the stored coefficients "
+                         "of a series with a declared tail")
+    return complex(np.dot(weights[:n], s.coefficients[:n]))
 
 
 def functional_eval(L: LinearFunctional, target) -> complex:
     """Apply the functional to a mapping or an (analytic, co-analytic) pair
-    of series; weights beyond the stored coefficients read those as zero."""
+    of series.  Weights beyond the stored coefficients of an exact series
+    read those as zero; on a series with a declared tail those coefficients
+    are unknown, so a nonzero weight there raises ValueError."""
     s, t = _parts(target)
-    return _dot(L.A, s.coefficients) + np.conj(_dot(L.B, t.coefficients))
+    return _dot(L.A, s) + np.conj(_dot(L.B, t))
 
 
 def lift_to_derivative(L: LinearFunctional) -> LinearFunctional:
@@ -657,6 +662,7 @@ def perturbation_falsifier(L: LinearFunctional, f: HarmonicMapping) -> Falsifier
     """
     if L.effectively_zero:
         raise ValueError("functional vanishes on every mapping with g(0) = 0")
+    base_value = functional_eval(L, f).real
     modulus, report = sup_modulus(f)
     modulus += _tail_allowance(f)
     if modulus > 1.0 + LEVEL_TOL:
@@ -691,7 +697,6 @@ def perturbation_falsifier(L: LinearFunctional, f: HarmonicMapping) -> Falsifier
         caps.append(1.0 / (4.0 * k0))
     eps = 0.5 * min(caps)
 
-    base_value = functional_eval(L, f).real
     for _ in range(40):
         if eps <= 0.0:
             break
@@ -731,8 +736,7 @@ class SupportDecomposition:
 def _with_zero_constant(s: AnalyticSeries, factor: float) -> AnalyticSeries:
     c = s.coefficients.copy()
     c[0] = 0.0
-    return AnalyticSeries(c * factor, None if s.tail_bound is None
-                          else s.tail_bound * abs(factor))
+    return AnalyticSeries(c * factor, s.tail_bound * abs(factor))
 
 
 def decompose_support_point(f0: HarmonicMapping):

@@ -149,6 +149,20 @@ def test_sharpen_not_found_is_flagged(capsys):
     assert "flagged" in err
 
 
+def test_sharpen_margins_include_the_declared_tail(capsys, tmp_path):
+    path = write_mapping(tmp_path, "id.json", [0.0, 1.0], [0.0], tail_h=1e-3)
+    code, out, err = run_cli(capsys, "sharpen", "--mapping", path,
+                             "--z0", "0", "--delta0", "0.9")
+    assert code == 2
+    assert json.loads(out)["status"] == "NOT_FOUND"
+    assert "flagged" in err
+    path = write_mapping(tmp_path, "id.json", [0.0, 1.0], [0.0], tail_h=1e-12)
+    code, out, _ = run_cli(capsys, "sharpen", "--mapping", path,
+                           "--z0", "0", "--delta0", "0.9")
+    assert code == 0
+    assert json.loads(out)["n"] == 2
+
+
 @pytest.mark.parametrize("z0", ["nan", "0,nan", "inf", "0,-inf"])
 def test_sharpen_rejects_non_finite_center(capsys, z0):
     code, out, err = run_cli(capsys, "sharpen", "--family-a", "1.0",
@@ -180,6 +194,22 @@ def test_functional_with_lift_and_eps(capsys, tmp_path):
     assert payload["lift"]["value_on_derivatives"] == [1.0, 0.0]
     assert payload["dilation"]["K"] == 1.0
     assert payload["dilation"]["actual"] == 0.25
+
+
+@pytest.mark.parametrize("command", [["functional"], ["functional", "--eps", "0.25"],
+                                     ["falsify"]], ids=["functional", "dilation", "falsify"])
+def test_weights_beyond_a_declared_tail_are_an_error(capsys, tmp_path, command):
+    mpath = write_mapping(tmp_path, "f.json", [0.0, 0.9], [0.0], tail_h=0.05)
+    fpath = write_functional(tmp_path, "L.json", [[0.0, 0.0]] * 3 + [[1.0, 0.0]], [[0.0, 0.0]])
+    code, out, err = run_cli(capsys, command[0], "--mapping", mpath,
+                             "--functional", fpath, *command[1:])
+    assert code == 1
+    assert out == ""
+    assert "declared tail" in err
+    fpath = write_functional(tmp_path, "L.json", [[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0]])
+    code, out, _ = run_cli(capsys, "functional", "--mapping", mpath, "--functional", fpath)
+    assert code == 0
+    assert json.loads(out)["value"] == [0.9, 0.0]
 
 
 def test_certify_support_family(capsys):

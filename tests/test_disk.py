@@ -111,7 +111,7 @@ def test_precompose_identity_center_is_rotation():
     assert abs(comp.h.coefficients[1] - rot) < 1e-14
     assert abs(comp.h.coefficients[2] - 2.0 * rot ** 2) < 1e-14
     assert abs(comp.g.coefficients[1] - 0.5 * rot) < 1e-14
-    assert comp.h.tail_bound is None
+    assert comp.h.tail_bound == 0.0
 
 
 def test_precompose_is_canonical_and_value_consistent():

@@ -249,6 +249,30 @@ def test_sharpening_verify_matches_search():
     assert margin == pytest.approx(res.worst_margin, rel=1e-2)
 
 
+def with_tail(f, tail):
+    return HarmonicMapping(AnalyticSeries(f.h.coefficients, tail), f.g)
+
+
+def test_sharpening_margins_include_the_declared_tails():
+    # by Schwarz-Pick a tail with coefficient sum T adds up to T to mu, so
+    # every margin is lowered by T; the identity's margin at 0 is 6.6e-9
+    exact = sharpening_exponent(IDENTITY, 0.0, 0.9)
+    assert sharpening_exponent(with_tail(IDENTITY, 1e-3), 0.0, 0.9) is None
+    res = sharpening_exponent(with_tail(IDENTITY, 1e-12), 0.0, 0.9)
+    assert (res.exponent_n, res.delta) == (exact.exponent_n, exact.delta)
+    assert res.verified_margin == exact.verified_margin - 1e-12
+    for tail in (1e-12, 1e-3):
+        assert verify_sharpening(with_tail(IDENTITY, tail), exact) == exact.verified_margin - tail
+    # z + z^3/10: the search grid meets the worst angle that the offset dense
+    # grid misses, so the reported worst margin is the search grid's own
+    cubic = HarmonicMapping(AnalyticSeries([0.0, 1.0, 0.0, 0.1]), AnalyticSeries([0.0]))
+    exact = sharpening_exponent(cubic, 0.0, 0.5)
+    assert exact.worst_margin < exact.verified_margin
+    res = sharpening_exponent(with_tail(cubic, 1e-12), 0.0, 0.5)
+    assert res.worst_margin == exact.worst_margin - 1e-12
+    assert res.verified_margin == exact.verified_margin - 1e-12
+
+
 def test_sharpening_requires_unit_center():
     with pytest.raises(ValueError):
         sharpening_exponent(scale_mapping(IDENTITY, 0.5), 0.0, 0.5)

@@ -88,7 +88,7 @@ def test_scale_mapping_keeps_tailed_coefficients():
     scaled = scale_mapping(f, 2.0)
     assert np.array_equal(scaled.h.coefficients, [0.0, 1.0, 0.2])
     assert scaled.h.tail_bound == pytest.approx(2e-3)
-    assert scaled.g.tail_bound is None
+    assert scaled.g.tail_bound == 0.0
     # scaling by two is exact, so beta doubles exactly; it read 0 when the
     # tailed h collapsed to its constant term
     beta = estimate_bloch_constant(f).value
@@ -219,7 +219,18 @@ def test_serialization_round_trip(tmp_path):
     assert np.array_equal(back.h.coefficients, f.h.coefficients)
     assert np.array_equal(back.g.coefficients, f.g.coefficients)
     assert back.h.tail_bound == 0.125
-    assert back.g.tail_bound is None
+    assert back.g.tail_bound == 0.0
+
+
+def test_exact_parts_are_written_as_null():
+    f = mapping_from_dict({"h": [[0, 0], [1, 0]], "g": [[0, 0]],
+                           "tail_bound_h": 0, "tail_bound_g": None})
+    assert (f.h.tail_bound, f.g.tail_bound) == (0.0, 0.0)
+    d = mapping_to_dict(f)
+    assert d["tail_bound_h"] is None and d["tail_bound_g"] is None
+    tailed = HarmonicMapping(AnalyticSeries([0.0, 1.0], 0.5), AnalyticSeries([0.0], np.inf))
+    assert mapping_to_dict(tailed)["tail_bound_h"] == 0.5
+    assert mapping_to_dict(tailed)["tail_bound_g"] == np.inf
 
 
 def test_mapping_from_dict_rejects_garbage():
@@ -343,3 +354,34 @@ def test_bloch_constant_invariant_under_disk_automorphisms(seed):
     est = estimate_bloch_constant(f)
     comp = estimate_bloch_constant(composed)
     assert abs(comp.value - est.value) <= est.accuracy + comp.accuracy
+
+
+def tailed_pair(seed):
+    # P, a random polynomial mapping scaled to beta = 1; P + phi, with phi a
+    # random tail of 5 to 60 terms beyond P's degree, split between h and g,
+    # of coefficient sum T in 1e-4 ... 1e-1; and P declaring those tails
+    f, _ = property_mapping(seed)
+    p = scale_mapping(f, 1.0 / estimate_bloch_constant(f).value)
+    rng = np.random.default_rng([seed, 10])
+    total = 10.0 ** rng.uniform(-4.0, -1.0)
+    terms = int(rng.integers(5, 61))
+    mags = rng.uniform(size=terms)
+    tail = total * mags / mags.sum() * np.exp(2j * np.pi * rng.uniform(size=terms))
+    split = int(rng.integers(0, terms + 1))
+    full, declared = [], []
+    for s, c in ((p.h, tail[:split]), (p.g, tail[split:])):
+        full.append(AnalyticSeries(np.concatenate([s.coefficients, c])))
+        declared.append(AnalyticSeries(s.coefficients, np.abs(c).sum()))
+    return p, HarmonicMapping(*full), HarmonicMapping(*declared), total, rng
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_declared_tails_are_honoured(seed):
+    # by Schwarz-Pick a tail phi with sum |c_k| <= T has (1 - |z|^2)|phi'| <= T,
+    # so mu moves by at most T and the declared beta's accuracy carries it
+    p, full, declared, total, rng = tailed_pair(seed)
+    est = estimate_bloch_constant(full)
+    est_declared = estimate_bloch_constant(declared)
+    assert abs(est.value - est_declared.value) <= est.accuracy + est_declared.accuracy
+    z = np.sqrt(rng.uniform(0.0, 0.998, 20000)) * np.exp(2j * np.pi * rng.uniform(size=20000))
+    assert (mapping._mu_values(full)(z) <= mapping._mu_values(p)(z) + total).all()

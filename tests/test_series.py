@@ -35,6 +35,14 @@ def test_exactness_flag():
     assert AnalyticSeries([1.0], tail_bound=0.0).is_exact
 
 
+@pytest.mark.parametrize("tail", [None, 0, 0.0])
+def test_exact_series_store_a_zero_float_tail(tail):
+    s = AnalyticSeries([1.0, 2.0], tail)
+    assert type(s.tail_bound) is float and s.tail_bound == 0.0
+    assert s.is_exact
+    assert type(AnalyticSeries([1.0], 3).tail_bound) is float
+
+
 def test_polyval_matches_numpy():
     rng = np.random.default_rng(7)
     c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
@@ -67,7 +75,7 @@ def test_differentiate_power_rule():
     s = AnalyticSeries([5.0, 1.0, 2.0, 3.0])
     d = differentiate(s)
     assert np.allclose(d.coefficients, [1.0, 4.0, 9.0])
-    assert d.tail_bound is None
+    assert d.tail_bound == 0.0
 
 
 def test_differentiate_constant_keeps_order_zero():
@@ -101,7 +109,7 @@ def test_linear_combination_pads_exact_series():
     t = AnalyticSeries([0.0, 0.0, 3.0])
     r = linear_combination(1.0, s, 2.0, t)
     assert np.allclose(r.coefficients, [1.0, 2.0, 6.0])
-    assert r.tail_bound is None
+    assert r.tail_bound == 0.0
 
 
 def test_linear_combination_truncates_with_tails():

@@ -65,6 +65,31 @@ def test_functional_eval_missing_coefficients_read_zero():
     assert functional_eval(L, f) == 0.0
 
 
+# h = 0.9 z plus an unknown tail of coefficient sum at most 0.05
+TAILED = HarmonicMapping(AnalyticSeries([0.0, 0.9], 0.05), AnalyticSeries([0.0]))
+
+
+def test_functional_eval_rejects_weights_beyond_a_declared_tail():
+    # a_3 may be anything up to 0.05 in modulus, so L(f) = a_3 is unknown
+    with pytest.raises(ValueError, match="declared tail"):
+        functional_eval(LinearFunctional([0.0, 0.0, 0.0, 1.0], [0.0]), TAILED)
+    tailed_g = HarmonicMapping(IDENTITY.h, AnalyticSeries([0.0, 0.5], 1e-3))
+    with pytest.raises(ValueError, match="declared tail"):
+        functional_eval(LinearFunctional([0.0], [0.0, 0.0, 1.0]), tailed_g)
+    # weights within the stored coefficients, or zero beyond them, are fine
+    L = LinearFunctional([0.0, 2.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+    assert functional_eval(L, TAILED) == 1.8
+    assert functional_eval(LinearFunctional([0.0], [0.0, 1.0]), tailed_g) == 0.5
+
+
+def test_analyses_of_functionals_inherit_the_tail_check():
+    L = LinearFunctional([0.0, 0.0, 0.0, 1.0], [0.0])
+    with pytest.raises(ValueError, match="declared tail"):
+        dilation_bound(L, TAILED, 0.25)
+    with pytest.raises(ValueError, match="declared tail"):
+        perturbation_falsifier(L, TAILED)
+
+
 def test_functional_with_no_weights_is_zero():
     L = LinearFunctional([], [])
     assert L.effectively_zero
