@@ -14,6 +14,8 @@ import numpy as np
 
 from .mapping import (
     _read_json,
+    _tail_allowance,
+    bloch_norm,
     estimate_bloch_constant,
     lambda_set,
     load_mapping,
@@ -113,9 +115,12 @@ def _parse_seed(text: str) -> int:
 
 def _input_mapping(args):
     # the parser requires exactly one of the two
-    if args.mapping is not None:
-        return load_mapping(args.mapping)
-    return counterexample_family(args.family_a)
+    if args.mapping is None:
+        return counterexample_family(args.family_a)
+    f = load_mapping(args.mapping)
+    if not math.isfinite(_tail_allowance(f)):  # refused before any search
+        raise ValueError(f"mapping file {args.mapping} declares an unbounded tail")
+    return f
 
 
 def _load_functional(path: str) -> LinearFunctional:
@@ -131,7 +136,7 @@ def _cmd_beta(args):
         "beta": est.value,
         "accuracy": est.accuracy,
         "argmax": [est.argmax.real, est.argmax.imag],
-        "norm": abs(f.value_at_origin) + est.value,
+        "norm": bloch_norm(f),
     }, None
 
 
@@ -142,7 +147,7 @@ def _cmd_mu_grid(args):
 
 def _cmd_lambda(args):
     rep = lambda_set(_input_mapping(args))
-    flag = "Bloch norm exceeds one beyond tolerance; level-set points are unreliable"
+    flag = "Bloch norm over 1 + LEVEL_TOL or tails over LEVEL_TOL; level-set points are unreliable"
     return rep.to_dict(), flag if rep.flagged else None
 
 

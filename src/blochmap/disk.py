@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import AnalyticSeries
+from .mapping import HarmonicMapping
 
 __all__ = [
     "MobiusAutomorphism",
@@ -66,16 +67,12 @@ def _automorphism_series(phi: MobiusAutomorphism, order: int) -> np.ndarray:
     return coeffs * np.exp(1j * phi.rotation)
 
 
-def _conv_trunc(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    return np.convolve(a, b)[: order + 1]
-
-
 def _compose_poly(coeffs: np.ndarray, inner: np.ndarray, order: int) -> np.ndarray:
     # Horner in the outer variable with truncation at each multiply
     out = np.zeros(order + 1, dtype=complex)
     out[0] = coeffs[-1]
     for k in range(coeffs.size - 2, -1, -1):
-        out = _conv_trunc(out, inner, order)
+        out = np.convolve(out, inner)[: order + 1]
         out[0] += coeffs[k]
     return out
 
@@ -115,22 +112,17 @@ def precompose(f, phi: MobiusAutomorphism, order: int):
     for the accuracy needed, since |phi| expansions decay like |center|^k.
     The dropped tail of each part is bounded and declared on the result.
     """
-    from .mapping import HarmonicMapping
-
     order = int(order)
     if order < 1:
         raise ValueError("composition order must be at least 1")
     inner = _automorphism_series(phi, order)
     h_new = _compose_poly(f.h.coefficients, inner, order)
     g_new = _compose_poly(f.g.coefficients, inner, order)
-    g0 = g_new[0]
-    h_new[0] += g0.conjugate()
+    h_new[0] += g_new[0].conjugate()
     g_new[0] = 0.0
 
-    def out_tail(series):
-        if not series.is_exact:
-            return np.inf
-        return _composition_tail(series.coefficients, abs(phi.center), order)
+    def out_tail(s):
+        return _composition_tail(s.coefficients, abs(phi.center), order) if s.is_exact else np.inf
 
     return HarmonicMapping(
         AnalyticSeries(h_new, out_tail(f.h)),

@@ -17,9 +17,13 @@ from .mapping import (
     LevelSetShape,
     Ternary,
     _abs_sum,
+    _derivative_coefficients,
     _disk_weight,
-    _mu_values,
+    _pseudo_distance,
+    _scale_parts,
     _tail_allowance,
+    _weighted_abs_sum,
+    bloch_norm,
     estimate_bloch_constant,
     lambda_set,
     little_bloch_status,
@@ -78,9 +82,8 @@ class MembershipReport:
 def membership(f: HarmonicMapping) -> MembershipReport:
     """Classify f against the unit ball, its normalized (h(0)=g(0)=0) variant,
     and the little-Bloch versions of both."""
-    est = estimate_bloch_constant(f)
-    norm = abs(f.value_at_origin) + est.value
-    acc = est.accuracy
+    norm = bloch_norm(f)
+    acc = estimate_bloch_constant(f).accuracy
     in_ball = norm <= 1.0 + acc
     marginal = in_ball and abs(norm - 1.0) <= acc
     normalized = bool(f.h.coefficients[0] == 0)  # g(0) = 0 already holds
@@ -102,16 +105,11 @@ def membership(f: HarmonicMapping) -> MembershipReport:
 
 def rotation_normalize(f: HarmonicMapping) -> HarmonicMapping:
     """Rotate each part so h'(0) and g'(0) become nonnegative reals."""
-    zero = AnalyticSeries([0.0])
-
     def unimodular(s):
         d = complex(differentiate(s).coefficients[0])
         return d.conjugate() / abs(d) if d != 0 else 1.0
 
-    return HarmonicMapping(
-        linear_combination(unimodular(f.h), f.h, 0.0, zero),
-        linear_combination(unimodular(f.g), f.g, 0.0, zero),
-    )
+    return _scale_parts(f, unimodular(f.h), unimodular(f.g))
 
 
 @dataclass(frozen=True)
@@ -147,8 +145,7 @@ def coefficient_conditions(f: HarmonicMapping) -> CoefficientConditions:
     scaling first if needed); coefficients index the power series of h' and
     g'.
     """
-    hp = differentiate(f.h).coefficients
-    gp = differentiate(f.g).coefficients
+    hp, gp = _derivative_coefficients(f)
     if abs(hp[0] - 1.0) > 1e-12:
         raise ValueError("coefficient conditions require the normalization h'(0) = 1")
 
@@ -193,12 +190,10 @@ def midpoint_check(f: HarmonicMapping, a: float) -> bool:
 
     def matches(s, sa, sb):
         mid = linear_combination(0.5, sa, 0.5, sb).coefficients
-        n = max(s.coefficients.size, mid.size)
-        left = np.zeros(n, dtype=complex)
-        right = np.zeros(n, dtype=complex)
-        left[: s.coefficients.size] = s.coefficients
-        right[: mid.size] = mid
-        return bool(np.max(np.abs(left - right), initial=0.0) <= COEFFICIENT_TOL)
+        diff = np.zeros(max(s.coefficients.size, mid.size), dtype=complex)
+        diff[: s.coefficients.size] = s.coefficients
+        diff[: mid.size] -= mid
+        return bool(np.max(np.abs(diff), initial=0.0) <= COEFFICIENT_TOL)
 
     return matches(f.h, fa.h, fb.h) and matches(f.g, fa.g, fb.g)
 
@@ -236,7 +231,8 @@ def extreme_necessity(f: HarmonicMapping) -> ExtremeNecessityReport:
     level set, and one of the normalized ball must have infinitely many
     unit-level points inside some disk of radius R < 1.  A level set that is
     empty or a handful of isolated points therefore certifies NOT_EXTREME; a
-    curve-like set only means the necessary condition holds.
+    curve-like set only means the necessary condition holds; a flagged
+    report leaves the screen UNRESOLVED.
     """
     rep = membership(f)
     if rep.in_normalized_little_ball is Ternary.TRUE:
@@ -246,7 +242,9 @@ def extreme_necessity(f: HarmonicMapping) -> ExtremeNecessityReport:
     else:
         raise ValueError("extreme-point screen requires membership in a normalized ball")
     lam = lambda_set(f)
-    if lam.classification is LevelSetShape.EMPTY:
+    if lam.flagged:
+        verdict = ExtremeVerdict.UNRESOLVED
+    elif lam.classification is LevelSetShape.EMPTY:
         verdict = ExtremeVerdict.NOT_EXTREME
     elif (lam.classification is LevelSetShape.ISOLATED
           and lam.cluster_count <= FINITE_CLUSTER_LIMIT):
@@ -309,15 +307,11 @@ def _punctured_samples(z0: complex, delta: float, n_radii: int, n_angles: int,
     raise ValueError("punctured neighborhood does not meet the open disk")
 
 
-def _derivative_coefficients(f: HarmonicMapping):
-    return differentiate(f.h).coefficients, differentiate(f.g).coefficients
-
-
 def _sharpening_margins(derivatives, pts: np.ndarray, z0: complex, n: int) -> np.ndarray:
     # derivatives = (h', g') coefficients; the weight multiplies the whole
     # sum, and distributing it would round differently
     deriv = _abs_sum(*derivatives, pts)
-    mob = np.abs((pts - z0) / (1.0 - np.conj(z0) * pts))
+    mob = _pseudo_distance(z0, pts)
     return 1.0 - (deriv + mob ** n) * _disk_weight(pts)
 
 
@@ -356,9 +350,9 @@ def sharpening_exponent(f: HarmonicMapping, z0, delta0: float):
     if abs(mu(f, z0) - 1.0) > 1e-8:
         raise ValueError("sharpening requires a unit-level center point")
     base = _punctured_samples(z0, delta0, *SEARCH_GRID)
-    if not bool((_mu_values(f)(base) < 1.0 - 1e-12).all()):
-        raise ValueError("mu must stay below one on the punctured neighborhood")
     derivatives = _derivative_coefficients(f)
+    if not bool((_weighted_abs_sum(*derivatives)(base) < 1.0 - 1e-12).all()):
+        raise ValueError("mu must stay below one on the punctured neighborhood")
     tail = _tail_allowance(f)
     delta = delta0
     for _ in range(MAX_HALVINGS + 1):

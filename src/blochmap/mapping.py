@@ -12,8 +12,9 @@ evidence the extremal and support-point analyses consume.
 from __future__ import annotations
 
 import enum
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,9 +63,6 @@ class HarmonicMapping:
 
     h: AnalyticSeries
     g: AnalyticSeries
-    # the Bloch estimate of this mapping once computed; see
-    # estimate_bloch_constant
-    _estimate: MaximizationResult | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.g.coefficients[0] != 0:
@@ -77,6 +75,12 @@ class HarmonicMapping:
     def value_at_origin(self) -> complex:
         return complex(self.h.coefficients[0])
 
+    @functools.cached_property
+    def _estimate(self) -> MaximizationResult:
+        # the memo of estimate_bloch_constant, held in the instance dict
+        res = maximize_on_disk(_mu_values(self))
+        return MaximizationResult(res.value, res.accuracy + _tail_allowance(self), res.argmax)
+
 
 def add_mappings(f1: HarmonicMapping, f2: HarmonicMapping) -> HarmonicMapping:
     return HarmonicMapping(
@@ -85,14 +89,15 @@ def add_mappings(f1: HarmonicMapping, f2: HarmonicMapping) -> HarmonicMapping:
     )
 
 
+def _scale_parts(f: HarmonicMapping, ch, cg) -> HarmonicMapping:
+    zero = AnalyticSeries([0.0])
+    return HarmonicMapping(linear_combination(ch, f.h, 0.0, zero),
+                           linear_combination(cg, f.g, 0.0, zero))
+
+
 def scale_mapping(f: HarmonicMapping, factor) -> HarmonicMapping:
     """Scale both parts; a real factor scales mu_f by |factor|."""
-    c = complex(factor)
-    zero = AnalyticSeries([0.0])
-    return HarmonicMapping(
-        linear_combination(c, f.h, 0.0, zero),
-        linear_combination(c, f.g, 0.0, zero),
-    )
+    return _scale_parts(f, complex(factor), complex(factor))
 
 
 def _abs_sum(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -114,9 +119,14 @@ def _weighted_abs_sum(a: np.ndarray, b: np.ndarray):
     return values
 
 
+def _derivative_coefficients(f: HarmonicMapping):
+    """The coefficient vectors of h' and g'."""
+    return differentiate(f.h).coefficients, differentiate(f.g).coefficients
+
+
 def _mu_values(f: HarmonicMapping):
     """mu_f as a vectorized objective."""
-    return _weighted_abs_sum(differentiate(f.h).coefficients, differentiate(f.g).coefficients)
+    return _weighted_abs_sum(*_derivative_coefficients(f))
 
 
 def _evaluate_many(f: HarmonicMapping, z: np.ndarray) -> np.ndarray:
@@ -149,10 +159,6 @@ def estimate_bloch_constant(f: HarmonicMapping) -> MaximizationResult:
     what a recomputation would, and two threads racing on a first call store
     equal values.  The memo lives and dies with its mapping.
     """
-    if f._estimate is None:
-        res = maximize_on_disk(_mu_values(f))
-        object.__setattr__(f, "_estimate", MaximizationResult(
-            res.value, res.accuracy + _tail_allowance(f), res.argmax))
     return f._estimate
 
 
@@ -178,9 +184,9 @@ def little_bloch_status(f: HarmonicMapping) -> Ternary:
     return Ternary.UNDECIDED
 
 
-def _rho_many(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    m = np.abs((z - w) / (1.0 - np.conj(z) * w))
-    return np.arctanh(m)
+def _pseudo_distance(z, w) -> np.ndarray:
+    """|(z - w) / (1 - conj(z) w)|, the same bits in either order."""
+    return np.abs((z - w) / (1.0 - np.conj(z) * w))
 
 
 def metric_beta_estimate(f: HarmonicMapping, samples: int, seed: int = 0) -> float:
@@ -200,6 +206,10 @@ def metric_beta_estimate(f: HarmonicMapping, samples: int, seed: int = 0) -> flo
     rng = np.random.default_rng(seed)
     best = 0.0
 
+    def quotient_max(z, w):
+        rho = np.arctanh(_pseudo_distance(z, w))
+        return float((np.abs(_evaluate_many(f, z) - _evaluate_many(f, w)) / rho).max())
+
     n_dirs = 16
     n_anchor = max(1, samples // 2 // n_dirs)
     grid = polar_grid(48, 96, 1.0 - 1e-6)
@@ -212,8 +222,7 @@ def metric_beta_estimate(f: HarmonicMapping, samples: int, seed: int = 0) -> flo
     w = z + delta * (1.0 - np.abs(z) ** 2) * u
     ok = np.abs(w) < DISK_RADIUS_CAP
     if ok.any():
-        q = np.abs(_evaluate_many(f, z[ok]) - _evaluate_many(f, w[ok])) / _rho_many(z[ok], w[ok])
-        best = max(best, float(q.max()))
+        best = max(best, quotient_max(z[ok], w[ok]))
 
     n_rand = max(0, samples - int(ok.sum()))
     if n_rand:
@@ -223,8 +232,7 @@ def metric_beta_estimate(f: HarmonicMapping, samples: int, seed: int = 0) -> flo
         z2 = r2 * np.exp(2j * np.pi * rng.random(n_rand))
         sep = np.abs(z1 - z2) > 1e-8
         if sep.any():
-            q = np.abs(_evaluate_many(f, z1[sep]) - _evaluate_many(f, z2[sep])) / _rho_many(z1[sep], z2[sep])
-            best = max(best, float(q.max()))
+            best = max(best, quotient_max(z1[sep], z2[sep]))
     return best
 
 
@@ -245,9 +253,9 @@ class LambdaReport:
     ``points`` hold converged local maxima whose value sits within
     ``LEVEL_TOL`` of one; ``residuals`` are those gaps.  Clusters
     join points ``MERGE_RADIUS`` apart, and one of ``CURVE_MIN_POINTS``
-    points makes the set CURVE_LIKE.  A report is ``flagged`` when the
-    mapping's Bloch norm exceeds one beyond ``LEVEL_TOL``, in which case located
-    maxima no longer describe the unit level set.
+    points makes the set CURVE_LIKE.  A report is ``flagged`` when the Bloch
+    norm exceeds one, or the declared tails (which could lift mu onto the
+    level) sum, beyond ``LEVEL_TOL``: located maxima then describe no level set.
     """
 
     points: np.ndarray
@@ -264,7 +272,7 @@ class LambdaReport:
     def to_dict(self) -> dict:
         return {
             "classification": self.classification.value,
-            "points": [[float(p.real), float(p.imag)] for p in self.points],
+            "points": _to_json_pairs(self.points),
             "residuals": [float(r) for r in self.residuals],
             "witness_radius": float(self.witness_radius),
             "flagged": bool(self.flagged),
@@ -332,7 +340,8 @@ def _single_linkage(pts: np.ndarray, radius: float):
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
-def _unit_level_report(values, flagged: bool) -> LambdaReport:
+def _unit_level_report(values, peak: float, f: HarmonicMapping) -> LambdaReport:
+    flagged = peak > 1.0 + LEVEL_TOL or _tail_allowance(f) > LEVEL_TOL
     grid = polar_grid(*DISK_GRID)
     gv = values(grid)
     # grid points within 0.02 of the level, and the 8 best, seed the ascents
@@ -363,15 +372,14 @@ def lambda_set(f: HarmonicMapping) -> LambdaReport:
     ``CURVE_MIN_POINTS`` distinct points, whatever its size) with a witness
     radius bounding all points away from the boundary.
     """
-    norm = abs(f.value_at_origin) + estimate_bloch_constant(f).value
-    return _unit_level_report(_mu_values(f), norm > 1.0 + LEVEL_TOL)
+    return _unit_level_report(_mu_values(f), bloch_norm(f), f)
 
 
 def sup_modulus(f: HarmonicMapping):
     """sup (|h| + |g|)(1 - |z|^2) together with a report on its unit level set."""
     values = _weighted_abs_sum(f.h.coefficients, f.g.coefficients)
     res = maximize_on_disk(values)
-    return res.value, _unit_level_report(values, res.value > 1.0 + LEVEL_TOL)
+    return res.value, _unit_level_report(values, res.value, f)
 
 
 def mu_grid_rows(f: HarmonicMapping, n_radii=DISK_GRID[0], n_angles=DISK_GRID[1]) -> np.ndarray:
@@ -384,12 +392,9 @@ def mu_grid_rows(f: HarmonicMapping, n_radii=DISK_GRID[0], n_angles=DISK_GRID[1]
 
 
 def mapping_to_dict(f: HarmonicMapping) -> dict:
-    def pairs(s):
-        return [[float(c.real), float(c.imag)] for c in s.coefficients]
-
     return {
-        "h": pairs(f.h),
-        "g": pairs(f.g),
+        "h": _to_json_pairs(f.h.coefficients),
+        "g": _to_json_pairs(f.g.coefficients),
         "tail_bound_h": None if f.h.is_exact else f.h.tail_bound,
         "tail_bound_g": None if f.g.is_exact else f.g.tail_bound,
     }
@@ -404,6 +409,11 @@ def _json_float(x, message: str) -> float:
         except OverflowError:  # an integer literal beyond the float range
             pass
     raise ValueError(message)
+
+
+def _to_json_pairs(values) -> list:
+    """Complex values as a JSON list of [re, im] pairs; read by _json_pairs."""
+    return [[float(c.real), float(c.imag)] for c in values]
 
 
 def _json_pairs(pairs, key: str) -> np.ndarray:

@@ -127,18 +127,18 @@ def linear_combination(alpha, s: AnalyticSeries, beta, t: AnalyticSeries) -> Ana
     combining a tailed series with an exact one keeps every coefficient the
     tailed series carries.  A declared tail caps the order: the result stops
     at the lowest order of a tailed input, and coefficients beyond it join
-    the declared tail."""
-    tailed = [u.coefficients.size for u in (s, t) if not u.is_exact]
+    the declared tail.  A zero weight contributes no tail and caps nothing
+    (0 * inf would be NaN)."""
+    weighted = [(abs(w), u) for w, u in ((alpha, s), (beta, t)) if w != 0]
+    tailed = [u.coefficients.size for _, u in weighted if not u.is_exact]
     size = min(tailed) if tailed else max(s.coefficients.size, t.coefficients.size)
     out = np.zeros(size, dtype=complex)
     cs = s.coefficients[:size]
     ct = t.coefficients[:size]
     out[: cs.size] += complex(alpha) * cs
     out[: ct.size] += complex(beta) * ct
-    tb = abs(alpha) * s.tail_bound + abs(beta) * t.tail_bound
+    tb = sum(a * u.tail_bound for a, u in weighted)
     if np.isfinite(tb):
         # coefficients dropped by the truncation join the declared tail
-        dropped = abs(alpha) * np.abs(s.coefficients[size:]).sum()
-        dropped += abs(beta) * np.abs(t.coefficients[size:]).sum()
-        tb += dropped
+        tb += sum(a * np.abs(u.coefficients[size:]).sum() for a, u in weighted)
     return AnalyticSeries(out, tb)

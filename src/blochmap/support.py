@@ -19,9 +19,11 @@ from .mapping import (
     HarmonicMapping,
     LevelSetShape,
     _abs_sum,
+    _disk_weight,
     _json_pairs,
     _mu_values,
     _tail_allowance,
+    _to_json_pairs,
     _weighted_abs_sum,
     bloch_norm,
     estimate_bloch_constant,
@@ -31,6 +33,7 @@ from .mapping import (
     sup_modulus,
 )
 from .extremal import BLOCK_POINTS, membership
+from .disk import MobiusAutomorphism, _automorphism_series
 
 __all__ = [
     "LinearFunctional",
@@ -80,8 +83,8 @@ class LinearFunctional:
 
     def to_dict(self) -> dict:
         return {
-            "A": [[c.real, c.imag] for c in self.A],
-            "B": [[c.real, c.imag] for c in self.B],
+            "A": _to_json_pairs(self.A),
+            "B": _to_json_pairs(self.B),
         }
 
     @staticmethod
@@ -231,18 +234,6 @@ class PointDerivativeFunctional:
         tp = eval_series(differentiate(t), self.z0)
         return self.weight * (sp + cmath.exp(1j * self.theta0) * np.conj(tp))
 
-    def as_linear_functional(self, degree: int) -> LinearFunctional:
-        """Materialize coefficient weights up to the given degree: the h side
-        carries weight*k*z0^{k-1}, the g side its conjugate partner."""
-        if degree < 1:
-            raise ValueError("degree must be at least 1")
-        k = np.arange(degree + 1)
-        base = np.zeros(degree + 1, dtype=complex)
-        base[1:] = k[1:] * self.z0 ** (k[1:] - 1)
-        A = self.weight * base
-        B = np.conj(self.weight) * cmath.exp(-1j * self.theta0) * base
-        return LinearFunctional(A, B)
-
     def to_dict(self) -> dict:
         return {
             "z0": [self.z0.real, self.z0.imag],
@@ -307,8 +298,8 @@ def _mobius_identity_row(w: complex, columns: int) -> np.ndarray:
     row's beta is computed from its own coefficients, never assumed to be one.
     """
     row = np.zeros(columns, dtype=complex)
-    k = np.arange(1, min(columns, MOBIUS_SAMPLE_DEGREE + 1))
-    row[k] = (1.0 - abs(w) ** 2) * np.conj(w) ** (k - 1)
+    top = min(columns - 1, MOBIUS_SAMPLE_DEGREE)
+    row[1:top + 1] = _automorphism_series(MobiusAutomorphism(w), top)[1:]
     return row
 
 
@@ -395,8 +386,7 @@ def _batch_ratio_max(h_rows: np.ndarray, g_rows: np.ndarray, z0: complex,
     abs_g = _trimmed_side(dg)
 
     def mu_rows(z, rows):
-        w = 1.0 - (z.real ** 2 + z.imag ** 2)
-        return w * (abs_h(z, rows) + abs_g(z, rows))
+        return _disk_weight(z) * (abs_h(z, rows) + abs_g(z, rows))
 
     grid = polar_grid(12, 24)
     vander = grid[:, None] ** np.arange(k - 1)[None, :]
@@ -510,9 +500,16 @@ def _draw_sample_rows(f: HarmonicMapping, z0: complex, count: int, columns: int,
     return h_rows, g_rows, labels
 
 
+def _unflagged_level_set(f: HarmonicMapping):
+    lam = lambda_set(f)
+    if lam.flagged:
+        raise ValueError("a flagged unit level set decides no support point (see lambda)")
+    return lam
+
+
 def support_certificate(f: HarmonicMapping, samples: int = 10000, seed: int = 0):
     """Certify f as a support point of the normalized unit ball, or return
-    None when its unit level set is empty.
+    None when its unit level set is empty; a flagged one raises ValueError.
 
     Picks the point z0 of ``lambda_set`` closest to the unit level (within
     ``LEVEL_TOL``), refines it by local ascent, builds the weighted
@@ -527,7 +524,7 @@ def support_certificate(f: HarmonicMapping, samples: int = 10000, seed: int = 0)
     rep = membership(f)
     if not rep.in_normalized_unit_ball:
         raise ValueError("support certificates require membership in the normalized unit ball")
-    lam = lambda_set(f)
+    lam = _unflagged_level_set(f)
     if lam.classification is LevelSetShape.EMPTY:
         return None
     z0 = complex(lam.points[int(np.argmin(lam.residuals))])
@@ -704,9 +701,8 @@ def perturbation_falsifier(L: LinearFunctional, f: HarmonicMapping) -> Falsifier
         qg = linear_combination(1.0, f.g, eps, H[1])
         f_tilde = HarmonicMapping(dilate(qh, eps), dilate(qg, eps))
         improvement = functional_eval(L, f_tilde).real - base_value
-        new_modulus = (maximize_on_disk(_weighted_abs_sum(f_tilde.h.coefficients,
-                                                          f_tilde.g.coefficients)).value
-                       + _tail_allowance(f_tilde))
+        values = _weighted_abs_sum(f_tilde.h.coefficients, f_tilde.g.coefficients)
+        new_modulus = maximize_on_disk(values).value + _tail_allowance(f_tilde)
         if improvement > 0.0 and new_modulus <= 1.0 + 1e-12:
             return FalsifierOutcome(FalsifierStatus.IMPROVED, "perturbation verified",
                                     modulus, f_tilde, eps, k0, side, K,
@@ -744,9 +740,9 @@ def decompose_support_point(f0: HarmonicMapping):
 
     Writes f0 as lambda1*u + (1-lambda1)*f with u = f0(0)/|f0(0)| and
     lambda1 = |f0(0)|; succeeds when the residual lies in the normalized unit
-    ball with a nonempty unit level set, else returns None.  All-constant and
-    constant-free inputs (lambda1 within ``LEVEL_TOL`` of 1 or 0) degenerate
-    to lambda1 = 1 and lambda1 = 0.
+    ball with a nonempty unit level set, else returns None, and raises
+    ValueError on a flagged one.  All-constant and constant-free inputs
+    (lambda1 within ``LEVEL_TOL`` of 1 or 0) degenerate to lambda1 = 1 and 0.
     """
     norm = bloch_norm(f0)
     if norm > 1.0 + LEVEL_TOL:
@@ -766,6 +762,6 @@ def decompose_support_point(f0: HarmonicMapping):
                                _with_zero_constant(f0.g, factor))
     if not membership(residual).in_normalized_unit_ball:
         return None
-    if lambda_set(residual).classification is LevelSetShape.EMPTY:
+    if _unflagged_level_set(residual).classification is LevelSetShape.EMPTY:
         return None
     return SupportDecomposition(float(lam1), complex(u), residual)

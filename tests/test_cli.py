@@ -650,3 +650,112 @@ def test_non_finite_payload_is_a_one_line_error(capsys, tmp_path):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert "non-finite" in err
+
+
+def test_tailed_level_set_is_flagged_and_decides_nothing(capsys, tmp_path):
+    # mu of 0.9995 z stays below the level, but a declared tail of 1e-3 could
+    # lift it there
+    path = write_mapping(tmp_path, "tailed.json", [0.0, 0.9995], [0.0], tail_h=1e-3)
+    code, out, err = run_cli(capsys, "lambda", "--mapping", path)
+    assert code == 2
+    assert json.loads(out)["flagged"] is True
+    assert "tails" in err
+    code, out, _ = run_cli(capsys, "extreme-check", "--mapping", path)
+    assert code == 0
+    assert json.loads(out)["verdict"] == "UNRESOLVED"
+    code, out, err = run_cli(capsys, "certify-support", "--mapping", path, "--samples", "16")
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    path = write_mapping(tmp_path, "f0.json", [0.3, 0.7 * 0.9995], [0.0], tail_h=7e-4)
+    code, out, err = run_cli(capsys, "decompose", "--mapping", path)
+    assert code == 1
+    assert out == ""
+    assert "flagged" in err
+
+
+# every subcommand that reads a mapping, with its other options
+MAPPING_CALLS = {c: argv[2:] for c, argv in VALID_CALLS.items()
+                 if argv[:1] == ["--family-a"] and c != "counterexample"}
+ANALYSES = ("estimate_bloch_constant", "mu_grid_rows", "lambda_set", "membership",
+            "midpoint_check", "extreme_necessity", "sharpening_exponent", "functional_eval",
+            "support_certificate", "perturbation_falsifier", "decompose_support_point")
+
+
+@pytest.mark.parametrize("command", MAPPING_CALLS)
+def test_unbounded_tail_fails_before_any_analysis(capsys, tmp_path, monkeypatch, command):
+    def analysis(*args, **kwargs):
+        raise AssertionError("an analysis ran on an unbounded tail")
+
+    for name in ANALYSES:
+        monkeypatch.setattr(cli, name, analysis)
+    monkeypatch.chdir(tmp_path)
+    write_functional(tmp_path, "L.json", [[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0]])
+    path = tmp_path / "f.json"
+    path.write_text('{"h": [[0.3, 0], [0.7, 0]], "g": [[0, 0]], "tail_bound_h": Infinity}')
+    code, out, err = run_cli(capsys, command, "--mapping", str(path), *MAPPING_CALLS[command])
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "unbounded tail" in err
+
+
+VALID_MAPPING = {"h": [[0.0, 0.0], [0.4, 0.1], [0.1, -0.2]],
+                 "g": [[0.0, 0.0], [0.0, 0.0], [0.05, 0.1]], "tail_bound_h": 1e-9}
+VALID_WEIGHTS = {"A": [[0.0, 0.0], [1.0, 0.5]], "B": [[0.0, 0.0], [0.0, 0.0], [0.2, 0.0]]}
+
+
+def corrupted(data, keys, kind, rng):
+    """A copy of the JSON object ``data`` with one corruption of ``kind`` in
+    one of its coefficient lists ``keys``."""
+    data = json.loads(json.dumps(data))
+    key = keys[rng.integers(len(keys))]
+    pairs = data[key]
+    i = int(rng.integers(len(pairs)))
+    if kind == "dropped-key":
+        del data[key]
+    elif kind == "not-a-list":
+        data[key] = [{"0": 1.0}, "pairs", 1.0][rng.integers(3)]
+    elif kind == "empty-h":
+        data["h"] = []
+    elif kind == "pair-length":
+        pairs[i] = pairs[i][:1] if rng.integers(2) else pairs[i] + [0.0]
+    elif kind == "not-a-number":
+        pairs[i][rng.integers(2)] = ["1.0", True, [1.0], None][rng.integers(4)]
+    else:
+        data["tail_bound_" + key] = [-1e-3, "1e-3", True, [1e-3]][rng.integers(4)]
+    return data
+
+
+MAPPING_CORRUPTIONS = ("dropped-key", "not-a-list", "empty-h", "pair-length",
+                       "not-a-number", "bad-tail")
+# an empty weight list is a valid functional, and weight files carry no tails
+WEIGHT_CORRUPTIONS = ("dropped-key", "not-a-list", "pair-length", "not-a-number")
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_one_random_corruption_fails_at_the_boundary(capsys, tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    good_mapping = tmp_path / "f.json"
+    good_mapping.write_text(json.dumps(VALID_MAPPING))
+    good_weights = tmp_path / "L.json"
+    good_weights.write_text(json.dumps(VALID_WEIGHTS))
+    bad_mapping = tmp_path / "bad_f.json"
+    kind = MAPPING_CORRUPTIONS[seed % len(MAPPING_CORRUPTIONS)]
+    bad_mapping.write_text(json.dumps(corrupted(VALID_MAPPING, ["h", "g"], kind, rng)))
+    bad_weights = tmp_path / "bad_L.json"
+    kind = WEIGHT_CORRUPTIONS[seed % len(WEIGHT_CORRUPTIONS)]
+    bad_weights.write_text(json.dumps(corrupted(VALID_WEIGHTS, ["A", "B"], kind, rng)))
+    calls = [["beta", "--mapping", bad_mapping],
+             ["lambda", "--mapping", bad_mapping],
+             ["functional", "--mapping", bad_mapping, "--functional", good_weights],
+             ["functional", "--mapping", good_mapping, "--functional", bad_weights]]
+    for argv in calls:
+        code, out, err = run_cli(capsys, *map(str, argv))
+        assert code == 1, argv
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+    # the uncorrupted files are accepted
+    code, _, _ = run_cli(capsys, "functional", "--mapping", str(good_mapping),
+                         "--functional", str(good_weights))
+    assert code == 0

@@ -1137,23 +1137,25 @@ def test_blocked_sharpening_check_lets_a_nan_margin_through(monkeypatch):
 
 
 def test_sharpening_checks_differentiate_once(monkeypatch):
-    # one (h', g') pair per call, however many blocks or (n, delta) tries
+    # one (h', g') pair per check, however many blocks or (n, delta) tries;
+    # the pair comes from mapping._derivative_coefficients
     calls = []
-    derive = extremal.differentiate
+    derive = mapping.differentiate
 
     def counting(s):
         calls.append(s)
         return derive(s)
 
-    monkeypatch.setattr(extremal, "differentiate", counting)
+    monkeypatch.setattr(mapping, "differentiate", counting)
     extremal.verify_sharpening(IDENTITY, extremal.SharpeningResult(2, 0.45, 0.1, 0j))
     assert len(calls) == 2
     calls.clear()
-    # n = 1 fails on the search grid, so two exponents are tried, then one
-    # dense check confirms n = 2
+    # one pair for the unit-level check at z0 (mu), one for the search, whose
+    # n = 1 fails on the search grid so two exponents are tried, and one for
+    # the dense check that confirms n = 2
     res = extremal.sharpening_exponent(IDENTITY, 0j, 0.45)
     assert res.exponent_n == 2
-    assert len(calls) == 4
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (37, 41), (7, 33000), (1000, 1000)],

@@ -216,6 +216,30 @@ def test_extreme_necessity_finite_cluster_limit(n, b, verdict):
     assert rep.verdict is verdict
 
 
+def test_extreme_necessity_is_unresolved_on_a_flagged_level_set():
+    # a declared tail of 1e-3 could lift mu of 0.9995 z onto the level
+    f = HarmonicMapping(AnalyticSeries([0.0, 0.9995], 1e-3), AnalyticSeries([0.0]))
+    rep = extreme_necessity(f)
+    assert rep.lambda_report.flagged
+    assert rep.lambda_report.classification is LevelSetShape.EMPTY
+    assert rep.verdict is ExtremeVerdict.UNRESOLVED
+
+
+def test_extreme_necessity_keeps_a_declared_tail_below_the_level_tolerance():
+    # f_0.3 o phi_0.8 normalized with the declared tail of its order-200
+    # truncation, about 7e-14
+    fc = precompose(counterexample_family(0.3), MobiusAutomorphism(0.8, 0.0), 200)
+    h = fc.h.coefficients.copy()
+    h[0] = 0.0
+    fc = HarmonicMapping(AnalyticSeries(h, fc.h.tail_bound), fc.g)
+    f = scale_mapping(fc, 1.0 / estimate_bloch_constant(fc).value)
+    assert 0.0 < f.h.tail_bound + f.g.tail_bound < 1e-13
+    rep = extreme_necessity(f)
+    assert not rep.lambda_report.flagged
+    assert rep.lambda_report.classification is LevelSetShape.CURVE_LIKE
+    assert rep.verdict is ExtremeVerdict.NECESSARY_CONDITION_MET
+
+
 def test_extreme_necessity_requires_normalized_membership():
     with pytest.raises(ValueError):
         extreme_necessity(scale_mapping(IDENTITY, 1.5))

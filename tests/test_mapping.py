@@ -96,6 +96,13 @@ def test_scale_mapping_keeps_tailed_coefficients():
     assert estimate_bloch_constant(scaled).value == 2.0 * beta
 
 
+def test_zero_scale_of_an_unbounded_tail_is_the_exact_zero():
+    f = HarmonicMapping(AnalyticSeries([0.0, 0.5], np.inf), AnalyticSeries([0.0, 0.1j], 1e-3))
+    z = scale_mapping(f, 0.0)
+    assert z.h.is_exact and z.g.is_exact
+    assert not z.h.coefficients.any() and not z.g.coefficients.any()
+
+
 def test_bloch_norm_adds_origin_value():
     f = HarmonicMapping(AnalyticSeries([0.25, 1.0]), AnalyticSeries([0.0]))
     assert bloch_norm(f) == pytest.approx(1.25, abs=1e-8)
@@ -385,3 +392,24 @@ def test_declared_tails_are_honoured(seed):
     assert abs(est.value - est_declared.value) <= est.accuracy + est_declared.accuracy
     z = np.sqrt(rng.uniform(0.0, 0.998, 20000)) * np.exp(2j * np.pi * rng.uniform(size=20000))
     assert (mapping._mu_values(full)(z) <= mapping._mu_values(p)(z) + total).all()
+
+
+# h = 0.9995 z: mu peaks at 0.9995, below the level, but a declared tail of
+# 1e-3 could lift it onto the level
+TAILED_NEAR_LEVEL = HarmonicMapping(AnalyticSeries([0.0, 0.9995], 1e-3), AnalyticSeries([0.0]))
+
+
+def test_declared_tails_above_the_level_tolerance_flag_the_level_set():
+    rep = lambda_set(TAILED_NEAR_LEVEL)
+    assert rep.classification is LevelSetShape.EMPTY
+    assert rep.flagged
+    _, rep = sup_modulus(HarmonicMapping(AnalyticSeries([0.0, 0.5], 1e-3), AnalyticSeries([0.0])))
+    assert rep.flagged
+    # the sum of both tails counts, and a sum within LEVEL_TOL flags nothing
+    split = HarmonicMapping(AnalyticSeries([0.0, 0.9995], 0.6 * mapping.LEVEL_TOL),
+                            AnalyticSeries([0.0], 0.6 * mapping.LEVEL_TOL))
+    assert lambda_set(split).flagged
+    small = HarmonicMapping(AnalyticSeries([0.0, 0.9995], 0.5 * mapping.LEVEL_TOL),
+                            AnalyticSeries([0.0]))
+    assert not lambda_set(small).flagged
+    assert not sup_modulus(small)[1].flagged

@@ -141,6 +141,32 @@ def test_linear_combination_two_tails_cap_at_lower_order():
     assert r.tail_bound == pytest.approx(0.25 + 0.5 + 4.0)
 
 
+def test_zero_weight_contributes_no_tail():
+    # 0 * inf is NaN, which the constructor refused; a zero weight now adds
+    # neither a tail nor an order cap
+    s = AnalyticSeries([1.0, 2.0, 3.0])
+    unbounded = differentiate(AnalyticSeries([0.0, 1.0, 0.5], tail_bound=1e-3))
+    assert unbounded.tail_bound == np.inf
+    r = linear_combination(1.0, s, 0.0, unbounded)
+    assert r.is_exact
+    assert np.array_equal(r.coefficients, s.coefficients)
+    r = linear_combination(0.0, unbounded, 2.0, s)
+    assert r.is_exact
+    assert np.array_equal(r.coefficients, 2.0 * s.coefficients)
+    # a zero-weight tailed series no longer cuts its partner's order
+    tailed = AnalyticSeries([1.0, 2.0, 4.0], tail_bound=0.3)
+    r = linear_combination(0.1, tailed, 0.0, AnalyticSeries([1.0, 1.0], tail_bound=0.7))
+    assert r.coefficients.size == 3
+    assert r.tail_bound == 0.1 * 0.3
+
+
+def test_finite_tails_keep_their_bits():
+    s = AnalyticSeries([1.0, 2.0, 4.0], tail_bound=0.3)
+    t = AnalyticSeries([1.0, 1.0], tail_bound=0.7)
+    r = linear_combination(0.1, s, 0.2, t)
+    assert r.tail_bound == (0.1 * 0.3 + 0.2 * 0.7) + 0.1 * 4.0
+
+
 def test_evaluation_consistency_random():
     rng = np.random.default_rng(11)
     for _ in range(20):

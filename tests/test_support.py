@@ -222,15 +222,19 @@ def test_bonk_constants_domain():
         bonk_constants(float("inf"))
 
 
-def test_point_derivative_functional_consistency():
+def test_point_derivative_functional_reads_the_derivatives_at_z0():
+    # weight * (s'(z0) + e^{i theta0} conj(t'(z0))) against central differences
     pdf = PointDerivativeFunctional(0.3 + 0.1j, 0.7, 1.5 - 0.5j)
     rng = np.random.default_rng(3)
-    L = pdf.as_linear_functional(10)
+    step = 1e-5
     for _ in range(10):
         f = random_mapping(rng, degree=6, constant=True)
-        assert abs(functional_eval(L, f) - pdf.evaluate(f)) < 1e-12
-    with pytest.raises(ValueError):
-        pdf.as_linear_functional(0)
+
+        def slope(s):
+            return (eval_series(s, pdf.z0 + step) - eval_series(s, pdf.z0 - step)) / (2 * step)
+
+        expected = pdf.weight * (slope(f.h) + np.exp(1j * pdf.theta0) * np.conj(slope(f.g)))
+        assert abs(pdf.evaluate(f) - expected) < 1e-8
 
 
 def test_support_certificate_identity():
@@ -426,3 +430,14 @@ def test_verify_bonk_constants_needs_a_sample(n):
 def test_verify_bonk_constants_rejects_radius_outside_the_annulus(R):
     with pytest.raises(ValueError, match="R = "):
         verify_bonk_constants(support.BonkConstants(2.0, 0.25, R), n_samples=10)
+
+
+def test_flagged_level_sets_decide_no_support_point():
+    # mu of 0.9995 z stays below the level, but the declared tails could lift
+    # it there: no certificate and no decomposition may answer None
+    tailed = HarmonicMapping(AnalyticSeries([0.0, 0.9995], 1e-3), AnalyticSeries([0.0]))
+    with pytest.raises(ValueError, match="flagged"):
+        support_certificate(tailed, samples=64)
+    f0 = HarmonicMapping(AnalyticSeries([0.3, 0.7 * 0.9995], 7e-4), AnalyticSeries([0.0]))
+    with pytest.raises(ValueError, match="flagged"):
+        decompose_support_point(f0)
