@@ -233,7 +233,12 @@ def extreme_necessity(f: HarmonicMapping) -> ExtremeNecessityReport:
     empty or a handful of isolated points therefore certifies NOT_EXTREME; a
     curve-like set only means the necessary condition holds; a flagged
     report leaves the screen UNRESOLVED.
+
+    The level set is located before membership is checked, so on a mapping
+    without a memoized β one compass run finds both; a mapping outside the
+    normalized balls still raises the membership error.
     """
+    lam = lambda_set(f)
     rep = membership(f)
     if rep.in_normalized_little_ball is Ternary.TRUE:
         part = 1
@@ -241,7 +246,6 @@ def extreme_necessity(f: HarmonicMapping) -> ExtremeNecessityReport:
         part = 2
     else:
         raise ValueError("extreme-point screen requires membership in a normalized ball")
-    lam = lambda_set(f)
     if lam.flagged:
         verdict = ExtremeVerdict.UNRESOLVED
     elif lam.classification is LevelSetShape.EMPTY:

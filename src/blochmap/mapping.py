@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import AnalyticSeries, differentiate, eval_series, linear_combination, polyval_batch
-from .optimize import (DISK_GRID, DISK_RADIUS_CAP, GRID_STEP, MaximizationResult,
-                       compass_maximize, maximize_on_disk, polar_grid)
+from .optimize import (DISK_GRID, DISK_RADIUS_CAP, MaximizationResult, _level_walks,
+                       maximize_on_disk, polar_grid)
 
 __all__ = [
     "Ternary",
@@ -77,9 +77,9 @@ class HarmonicMapping:
 
     @functools.cached_property
     def _estimate(self) -> MaximizationResult:
-        # the memo of estimate_bloch_constant, held in the instance dict
-        res = maximize_on_disk(_mu_values(self))
-        return MaximizationResult(res.value, res.accuracy + _tail_allowance(self), res.argmax)
+        # the memo of estimate_bloch_constant, held in the instance dict;
+        # lambda_set may fill it first
+        return _with_tail_accuracy(self, maximize_on_disk(_mu_values(self)))
 
 
 def add_mappings(f1: HarmonicMapping, f2: HarmonicMapping) -> HarmonicMapping:
@@ -143,6 +143,11 @@ def mu(f: HarmonicMapping, z) -> float:
 
 def _tail_allowance(f: HarmonicMapping) -> float:
     return f.h.tail_bound + f.g.tail_bound
+
+
+def _with_tail_accuracy(f: HarmonicMapping, res: MaximizationResult) -> MaximizationResult:
+    """A search result over mu_f with the declared tails added to its accuracy."""
+    return MaximizationResult(res.value, res.accuracy + _tail_allowance(f), res.argmax)
 
 
 def estimate_bloch_constant(f: HarmonicMapping) -> MaximizationResult:
@@ -285,9 +290,13 @@ def _dedupe_best(pts: np.ndarray, vals: np.ndarray, radius: float):
     # keep the best-valued representative of each radius-sized cell; ties in
     # value go to the point argsort puts last, and cells round half to even
     order = np.argsort(vals)[::-1]
-    cells = np.column_stack([np.round(pts.real / radius),
-                             np.round(pts.imag / radius)]).astype(np.int64)
-    _, first = np.unique(cells[order], axis=0, return_index=True)
+    re = np.round(pts.real / radius).astype(np.int64)
+    im = np.round(pts.imag / radius).astype(np.int64)
+    # one key per cell; |z| <= 1 and the radii in use keep each index below
+    # 2**30 in size, and np.unique with return_index sorts stably, so each
+    # cell keeps its first point in value order
+    keys = (re + 2 ** 30) * 2 ** 31 + (im + 2 ** 30)
+    _, first = np.unique(keys[order], return_index=True)
     idx = np.sort(order[first])
     return pts[idx], vals[idx]
 
@@ -340,17 +349,10 @@ def _single_linkage(pts: np.ndarray, radius: float):
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
-def _unit_level_report(values, peak: float, f: HarmonicMapping) -> LambdaReport:
+def _unit_level_report(pts, vals, peak: float, f: HarmonicMapping) -> LambdaReport:
+    # the level walkers' converged points and values, kept within LEVEL_TOL
+    # of one, deduplicated and clustered
     flagged = peak > 1.0 + LEVEL_TOL or _tail_allowance(f) > LEVEL_TOL
-    grid = polar_grid(*DISK_GRID)
-    gv = values(grid)
-    # grid points within 0.02 of the level, and the 8 best, seed the ascents
-    cand = np.flatnonzero(np.abs(gv - 1.0) <= 0.02)
-    top = np.argsort(gv)[::-1][:8]
-    seeds = np.union1d(cand, top)
-    if seeds.size > 4096:
-        seeds = seeds[np.argsort(gv[seeds])[::-1][:4096]]
-    pts, vals = compass_maximize(lambda z, _w: values(z), grid[seeds], GRID_STEP)
     keep = np.abs(vals - 1.0) <= LEVEL_TOL
     pts, vals = pts[keep], vals[keep]
     if pts.size == 0:
@@ -371,15 +373,32 @@ def lambda_set(f: HarmonicMapping) -> LambdaReport:
     clusters, and reports EMPTY, ISOLATED, or CURVE_LIKE (a cluster of
     ``CURVE_MIN_POINTS`` distinct points, whatever its size) with a witness
     radius bounding all points away from the boundary.
+
+    The flag needs the Bloch norm.  When f's Bloch constant is not memoized
+    yet, its search rides the same compass run as the level walkers
+    (``maximize_on_disk`` with ``level=1``) and is memoized, so a later
+    ``estimate_bloch_constant`` or ``membership`` runs no search; otherwise
+    the level walkers run alone.
     """
-    return _unit_level_report(_mu_values(f), bloch_norm(f), f)
+    values = _mu_values(f)
+    if "_estimate" in vars(f):
+        pts, vals = _level_walks(values, 1.0)
+    else:
+        res, pts, vals = maximize_on_disk(values, level=1.0)
+        # fill the cached_property's slot with what its search would return
+        vars(f)["_estimate"] = _with_tail_accuracy(f, res)
+    return _unit_level_report(pts, vals, bloch_norm(f), f)
 
 
 def sup_modulus(f: HarmonicMapping):
-    """sup (|h| + |g|)(1 - |z|^2) together with a report on its unit level set."""
+    """sup (|h| + |g|)(1 - |z|^2) together with a report on its unit level set.
+
+    One ``maximize_on_disk`` call with ``level=1`` finds both: its level
+    walkers share the compass run of the supremum search.
+    """
     values = _weighted_abs_sum(f.h.coefficients, f.g.coefficients)
-    res = maximize_on_disk(values)
-    return res.value, _unit_level_report(values, res.value, f)
+    res, pts, vals = maximize_on_disk(values, level=1.0)
+    return res.value, _unit_level_report(pts, vals, res.value, f)
 
 
 def mu_grid_rows(f: HarmonicMapping, n_radii=DISK_GRID[0], n_angles=DISK_GRID[1]) -> np.ndarray:

@@ -75,10 +75,11 @@ def compass_maximize(evaluate, starts, initial_step, *, step_tol=1e-10,
     speculative points the walk never visits, inside or outside
     ``DISK_RADIUS_CAP``.
     The in-tree objectives meet this; each is an elementwise Horner
-    evaluation: ``mapping._weighted_abs_sum``, which ``maximize_on_disk``,
-    the level-set search of ``lambda_set`` and ``sup_modulus`` and the
-    touching-point refinement of ``support_certificate`` maximize, and the
-    routed ``mu_rows`` of ``support._batch_ratio_max``.
+    evaluation: ``mapping._weighted_abs_sum``, which ``maximize_on_disk``
+    (with its level walkers, for ``lambda_set`` and ``sup_modulus``), the
+    level walkers alone of ``_level_walks`` and the touching-point
+    refinement of ``support_certificate`` maximize, and the routed
+    ``mu_rows`` of ``support._batch_ratio_max``.
 
     With more walkers active, one call carries one iteration.  A walker
     moves when the largest value among its candidates beats its own; a NaN
@@ -178,10 +179,11 @@ def _far_from(cand, p, min_sep):
     return np.hypot(d.real, d.imag) >= min_sep
 
 
-def _spread_top_indices(points, values, count, min_sep):
+def _spread_top_indices(points, order, count, min_sep):
     """Greedy pick of high-value grid points kept pairwise min_sep apart.
 
-    Walks the points in ``argsort(values)[::-1]`` order and accepts one
+    Walks the points in ``order``, their indices by descending value as
+    ``argsort(values)[::-1]`` gives them, and accepts one
     unless it lies within ``min_sep`` of an earlier pick.  The order is read
     in windows of ``SPREAD_WINDOW`` points: each window is first tested
     against the picks already made, then every pick made inside it excludes
@@ -190,7 +192,6 @@ def _spread_top_indices(points, values, count, min_sep):
     picks are the loop's to the last bit; a NaN distance excludes, as it
     does there.
     """
-    order = np.argsort(values)[::-1]
     cand = points[order]
     chosen = []
     for start in range(0, order.size, SPREAD_WINDOW):
@@ -210,17 +211,52 @@ def _spread_top_indices(points, values, count, min_sep):
     return order[chosen]
 
 
-def maximize_on_disk(values) -> MaximizationResult:
-    """Maximize a vectorized objective ``values(z_array)`` over the disk."""
+def _level_seeds(gv, order, level):
+    """Grid indices seeding a level-set search: the grid points within 0.02
+    of ``level`` and the 8 best, capped at the 4096 best, given the grid
+    values ``gv`` and their descending ``order``."""
+    seeds = np.union1d(np.flatnonzero(np.abs(gv - level) <= 0.02), order[:8])
+    if seeds.size > 4096:
+        seeds = seeds[np.argsort(gv[seeds])[::-1][:4096]]
+    return seeds
+
+
+def _level_walks(values, level):
+    """The level walkers of ``maximize_on_disk(values, level)`` without its
+    maximum search, for an objective whose maximum is already known; returns
+    their converged (points, values)."""
     grid = polar_grid(*DISK_GRID)
     gv = values(grid)
-    seeds = _spread_top_indices(grid, gv, N_STARTS, GRID_STEP)
+    starts = grid[_level_seeds(gv, np.argsort(gv)[::-1], level)]
+    return compass_maximize(lambda z, _w: values(z), starts, GRID_STEP)
+
+
+def maximize_on_disk(values, level=None):
+    """Maximize a vectorized objective ``values(z_array)`` over the disk.
+
+    The ``DISK_GRID`` polar grid is evaluated and sorted once, and
+    ``N_STARTS`` well-spread grid maxima seed compass ascents; the best
+    converged value, checked by four probes 1e-6 away, is the result.
+
+    With ``level``, the same compass run also starts a walker from each
+    seed of ``_level_seeds``, and ``(result, points, values)`` is returned
+    with those walkers' converged points and values.  A walk depends only on
+    its start and on pointwise values, so both results are those of two
+    separate runs, bit for bit, from one grid evaluation and one sort.
+    """
+    grid = polar_grid(*DISK_GRID)
+    gv = values(grid)
+    order = np.argsort(gv)[::-1]
+    seeds = _spread_top_indices(grid, order, N_STARTS, GRID_STEP)
+    starts = grid[seeds]
+    if level is not None:
+        starts = np.concatenate((starts, grid[_level_seeds(gv, order, level)]))
 
     def ev(z, _walkers):
         return values(z)
 
-    pts, vals = compass_maximize(ev, grid[seeds], GRID_STEP)
-    k = int(np.argmax(vals))
+    pts, vals = compass_maximize(ev, starts, GRID_STEP)
+    k = int(np.argmax(vals[:seeds.size]))
     best_z = complex(pts[k])
     best_v = float(vals[k])
     probes = best_z + 1e-6 * np.array([1.0, -1.0, 1j, -1j])
@@ -233,5 +269,7 @@ def maximize_on_disk(values) -> MaximizationResult:
     if drop < 0.0:
         best_v = float(pv[j])
         best_z = complex(probes[j])
-    accuracy = max(1e-12, abs(drop))
-    return MaximizationResult(best_v, accuracy, best_z)
+    result = MaximizationResult(best_v, max(1e-12, abs(drop)), best_z)
+    if level is None:
+        return result
+    return result, pts[seeds.size:], vals[seeds.size:]

@@ -17,6 +17,7 @@ from .optimize import DISK_RADIUS_CAP, compass_maximize, maximize_on_disk, polar
 from .mapping import (
     LEVEL_TOL,
     HarmonicMapping,
+    LambdaReport,
     LevelSetShape,
     _abs_sum,
     _disk_weight,
@@ -500,11 +501,9 @@ def _draw_sample_rows(f: HarmonicMapping, z0: complex, count: int, columns: int,
     return h_rows, g_rows, labels
 
 
-def _unflagged_level_set(f: HarmonicMapping):
-    lam = lambda_set(f)
+def _refuse_flagged(lam: LambdaReport) -> None:
     if lam.flagged:
         raise ValueError("a flagged unit level set decides no support point (see lambda)")
-    return lam
 
 
 def support_certificate(f: HarmonicMapping, samples: int = 10000, seed: int = 0):
@@ -518,13 +517,17 @@ def support_certificate(f: HarmonicMapping, samples: int = 10000, seed: int = 0)
     member is rotated to align its functional value (rotation preserves
     membership), so the recorded maximum is conservative.  A candidate z0
     that cannot be pushed within 1e-9 of the unit level is treated as empty.
+
+    The level set is located before membership is checked: its compass run
+    also finds β, which membership then reads from the memo.  The errors
+    keep their order: sample count, membership, then a flagged level set.
     """
     if samples < 1:
         raise ValueError("at least one sample is required")
-    rep = membership(f)
-    if not rep.in_normalized_unit_ball:
+    lam = lambda_set(f)
+    if not membership(f).in_normalized_unit_ball:
         raise ValueError("support certificates require membership in the normalized unit ball")
-    lam = _unflagged_level_set(f)
+    _refuse_flagged(lam)
     if lam.classification is LevelSetShape.EMPTY:
         return None
     z0 = complex(lam.points[int(np.argmin(lam.residuals))])
@@ -743,6 +746,10 @@ def decompose_support_point(f0: HarmonicMapping):
     ball with a nonempty unit level set, else returns None, and raises
     ValueError on a flagged one.  All-constant and constant-free inputs
     (lambda1 within ``LEVEL_TOL`` of 1 or 0) degenerate to lambda1 = 1 and 0.
+
+    The residual's level set is located before its membership is checked,
+    so one compass run finds both; a residual outside the ball still returns
+    None before a flagged level set raises.
     """
     norm = bloch_norm(f0)
     if norm > 1.0 + LEVEL_TOL:
@@ -760,8 +767,10 @@ def decompose_support_point(f0: HarmonicMapping):
         u, factor = c0 / lam1, 1.0 / (1.0 - lam1)
     residual = HarmonicMapping(_with_zero_constant(f0.h, factor),
                                _with_zero_constant(f0.g, factor))
+    lam = lambda_set(residual)
     if not membership(residual).in_normalized_unit_ball:
         return None
-    if _unflagged_level_set(residual).classification is LevelSetShape.EMPTY:
+    _refuse_flagged(lam)
+    if lam.classification is LevelSetShape.EMPTY:
         return None
     return SupportDecomposition(float(lam1), complex(u), residual)

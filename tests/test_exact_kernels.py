@@ -885,10 +885,10 @@ def spread_case(name):
                                   "constant", "nan", "sparse", "tie", "deep"])
 def test_spread_top_indices_matches_pairwise_loop(name):
     points, values, count, min_sep = spread_case(name)
-    got = optimize._spread_top_indices(points, values, count, min_sep)
+    order = np.argsort(values)[::-1]
+    got = optimize._spread_top_indices(points, order, count, min_sep)
     want = reference_spread_top_indices(points, values, count, min_sep)
     assert got.dtype == want.dtype and np.array_equal(got, want)
-    order = np.argsort(values)[::-1]
     last = np.flatnonzero(np.isin(order, want)).max()
     if name in ("identity", "deep"):
         assert want.size == count and last >= optimize.SPREAD_WINDOW

@@ -247,6 +247,13 @@ def test_extreme_necessity_requires_normalized_membership():
         extreme_necessity(HarmonicMapping(AnalyticSeries([0.6, 0.2]), AnalyticSeries([0.0])))
 
 
+def test_extreme_necessity_membership_error_comes_before_the_flag():
+    # mu of 2z tops 1 + LEVEL_TOL, so its level set is flagged as well
+    double = HarmonicMapping(AnalyticSeries([0.0, 2.0]), AnalyticSeries([0.0]))
+    with pytest.raises(ValueError, match="membership"):
+        extreme_necessity(double)
+
+
 def test_sharpening_identity_needs_square():
     res = sharpening_exponent(IDENTITY, 0.0, 0.9)
     assert res is not None

@@ -23,12 +23,13 @@ from blochmap import (
     mu,
     mu_grid_rows,
     precompose,
+    sample_unit_ball,
     save_mapping,
     scale_mapping,
     sup_modulus,
     support_certificate,
 )
-from blochmap import mapping
+from blochmap import mapping, optimize
 from blochmap.extremal import extreme_necessity, membership
 
 IDENTITY = HarmonicMapping(AnalyticSeries([0.0, 1.0]), AnalyticSeries([0.0]))
@@ -309,6 +310,109 @@ def test_support_certificate_runs_one_search(monkeypatch):
     calls = count_searches(monkeypatch)
     support_certificate(fresh_identity(), 16, 0)
     assert len(calls) == 1
+
+
+def count_compass_runs(monkeypatch):
+    # the size of each compass run's start array, over every namespace the
+    # Bloch and level-set searches call it through
+    starts = []
+    inner = optimize.compass_maximize
+
+    def counted(evaluate, first, *args, **kwargs):
+        starts.append(np.size(first))
+        return inner(evaluate, first, *args, **kwargs)
+
+    for mod in (optimize, mapping):
+        if hasattr(mod, "compass_maximize"):
+            monkeypatch.setattr(mod, "compass_maximize", counted)
+    return starts
+
+
+@pytest.mark.parametrize("analysis", [lambda_set, extreme_necessity])
+def test_level_set_analyses_run_one_compass_run(monkeypatch, analysis):
+    f = fresh_identity()
+    runs = count_compass_runs(monkeypatch)
+    analysis(f)
+    assert len(runs) == 1
+    # the beta found with the level set is memoized
+    estimate_bloch_constant(f)
+    membership(f)
+    assert len(runs) == 1
+
+
+def test_sup_modulus_runs_one_compass_run(monkeypatch):
+    runs = count_compass_runs(monkeypatch)
+    sup_modulus(counterexample_family(0.75))
+    assert len(runs) == 1
+
+
+def test_memoized_beta_leaves_the_level_walkers_alone(monkeypatch):
+    # with beta known, the level set starts no beta walkers
+    f = fresh_identity()
+    runs = count_compass_runs(monkeypatch)
+    membership(f)
+    lambda_set(f)
+    lambda_set(fresh_identity())
+    beta_starts, level_starts, both = runs
+    assert beta_starts == optimize.N_STARTS
+    assert both == beta_starts + level_starts
+
+
+def bits(*values):
+    return np.array(values, dtype=complex).tobytes()
+
+
+def same_level_report(a, b):
+    return (a.points.tobytes() == b.points.tobytes()
+            and a.residuals.tobytes() == b.residuals.tobytes()
+            and a.classification is b.classification
+            and bits(a.witness_radius) == bits(b.witness_radius)
+            and a.flagged == b.flagged
+            and len(a.clusters) == len(b.clusters)
+            and all(np.array_equal(x, y) for x, y in zip(a.clusters, b.clusters)))
+
+
+def exact(h, g):
+    return lambda: HarmonicMapping(AnalyticSeries(h), AnalyticSeries(g))
+
+
+# builders of fresh, equal mappings: each call order gets its own object
+ORDER_CASES = {
+    "identity": exact([0.0, 1.0], [0.0]),
+    "rotated-h-0.7": exact([0.0, np.exp(0.7j)], [0.0]),
+    "rotated-h-2.9": exact([0.0, np.exp(2.9j)], [0.0]),
+    "rotated-g-1.3": exact([0.0], [0.0, np.exp(1.3j)]),
+    **{f"family-{a}": (lambda a=a: counterexample_family(a)) for a in (0.3, 0.75, 1.0, 1.5)},
+    **{f"ball-{d}-{s}": (lambda d=d, s=s: sample_unit_ball(s, d))
+       for d in (1, 2, 5, 8, 30, 60) for s in range(5)},
+    "near-tailed": lambda: HarmonicMapping(AnalyticSeries([0.0, 0.9995], 1e-3),
+                                           AnalyticSeries([0.0])),
+    "double": exact([0.0, 2.0], [0.0]),
+}
+
+
+@pytest.mark.parametrize("name", ORDER_CASES)
+def test_beta_and_level_set_bits_in_either_order(name):
+    make = ORDER_CASES[name]
+    f, g = make(), make()
+    est_f = estimate_bloch_constant(f)
+    lam_f = lambda_set(f)
+    lam_g = lambda_set(g)
+    est_g = estimate_bloch_constant(g)
+    assert bits(est_f.value, est_f.accuracy, est_f.argmax) == \
+        bits(est_g.value, est_g.accuracy, est_g.argmax)
+    assert same_level_report(lam_f, lam_g)
+
+
+@pytest.mark.parametrize("name", ORDER_CASES)
+def test_sup_modulus_matches_two_separate_runs(name):
+    f = ORDER_CASES[name]()
+    values = mapping._weighted_abs_sum(f.h.coefficients, f.g.coefficients)
+    res = optimize.maximize_on_disk(values)
+    want = mapping._unit_level_report(*optimize._level_walks(values, 1.0), res.value, f)
+    value, got = sup_modulus(f)
+    assert bits(value) == bits(res.value)
+    assert same_level_report(got, want)
 
 
 def property_mapping(seed, max_degree=30):

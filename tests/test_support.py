@@ -420,6 +420,23 @@ def test_decompose_rejects_oversized_norm():
         decompose_support_point(scale_mapping(IDENTITY, 1.2))
 
 
+def test_support_certificate_membership_error_comes_before_the_flag():
+    # mu of 2z tops 1 + LEVEL_TOL, so its level set is flagged as well
+    double = HarmonicMapping(AnalyticSeries([0.0, 2.0]), AnalyticSeries([0.0]))
+    with pytest.raises(ValueError, match="membership"):
+        support_certificate(double, samples=64)
+
+
+def test_decompose_residual_outside_the_ball_returns_none():
+    # the norm of f0 sits 8e-7 over one, inside LEVEL_TOL; the residual's
+    # beta of 1 + 1.6e-6 leaves the ball and flags its level set, and the
+    # membership answer comes first
+    f0 = HarmonicMapping(AnalyticSeries([0.5, 0.5 + 8e-7]), AnalyticSeries([0.0]))
+    residual = HarmonicMapping(AnalyticSeries([0.0, (0.5 + 8e-7) / 0.5]), AnalyticSeries([0.0]))
+    assert support.lambda_set(residual).flagged
+    assert decompose_support_point(f0) is None
+
+
 @pytest.mark.parametrize("n", [0, -3])
 def test_verify_bonk_constants_needs_a_sample(n):
     with pytest.raises(ValueError, match="sample"):
