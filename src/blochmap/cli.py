@@ -147,7 +147,8 @@ def _cmd_mu_grid(args):
 
 def _cmd_lambda(args):
     rep = lambda_set(_input_mapping(args))
-    flag = "Bloch norm over 1 + LEVEL_TOL or tails over LEVEL_TOL; level-set points are unreliable"
+    flag = ("Bloch norm over one beyond its accuracy (outside the unit ball) or tails"
+            " over LEVEL_TOL; level-set points are unreliable")
     return rep.to_dict(), flag if rep.flagged else None
 
 

@@ -22,6 +22,7 @@ from .mapping import (
     _pseudo_distance,
     _scale_parts,
     _tail_allowance,
+    _unit_level_side,
     _weighted_abs_sum,
     bloch_norm,
     estimate_bloch_constant,
@@ -56,6 +57,7 @@ class MembershipReport:
 
     Boundary policy: the norm may sit on 1 up to the optimizer's reported
     accuracy, in which case membership holds and ``marginal`` is set.  The
+    level-set report and ``decompose_support_point`` read the same rule.  The
     little-Bloch classes inherit the tri-state of the radial-limit test.
     """
 
@@ -84,8 +86,9 @@ def membership(f: HarmonicMapping) -> MembershipReport:
     and the little-Bloch versions of both."""
     norm = bloch_norm(f)
     acc = estimate_bloch_constant(f).accuracy
-    in_ball = norm <= 1.0 + acc
-    marginal = in_ball and abs(norm - 1.0) <= acc
+    side = _unit_level_side(norm, acc)
+    in_ball = side <= 0
+    marginal = side == 0
     normalized = bool(f.h.coefficients[0] == 0)  # g(0) = 0 already holds
     little = little_bloch_status(f)
 

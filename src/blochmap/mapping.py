@@ -189,8 +189,21 @@ def little_bloch_status(f: HarmonicMapping) -> Ternary:
     return Ternary.UNDECIDED
 
 
+def _unit_level_side(s: float, a: float) -> int:
+    """Where an estimated supremum ``s`` with reported accuracy ``a`` sits
+    against one: 1 over it (outside the unit ball, also for a NaN), -1 short
+    of it (``s + a < 1``), 0 on it within the accuracy.
+
+    The one unit-ball boundary: ``membership``, the level-set report and
+    ``decompose_support_point`` all read it.
+    """
+    if not s <= 1.0 + a:
+        return 1
+    return -1 if 1.0 - s > a else 0
+
+
 def _pseudo_distance(z, w) -> np.ndarray:
-    """|(z - w) / (1 - conj(z) w)|, the same bits in either order."""
+    """|(z - w) / (1 - conj(z) w)|; swapping z and w may move the last bit."""
     return np.abs((z - w) / (1.0 - np.conj(z) * w))
 
 
@@ -224,7 +237,7 @@ def metric_beta_estimate(f: HarmonicMapping, samples: int, seed: int = 0) -> flo
     z = np.repeat(anchors, n_dirs)
     u = np.exp(1j * np.tile(phis, anchors.size))
     delta = 1e-3
-    w = z + delta * (1.0 - np.abs(z) ** 2) * u
+    w = z + delta * _disk_weight(z) * u
     ok = np.abs(w) < DISK_RADIUS_CAP
     if ok.any():
         best = max(best, quotient_max(z[ok], w[ok]))
@@ -258,9 +271,12 @@ class LambdaReport:
     ``points`` hold converged local maxima whose value sits within
     ``LEVEL_TOL`` of one; ``residuals`` are those gaps.  Clusters
     join points ``MERGE_RADIUS`` apart, and one of ``CURVE_MIN_POINTS``
-    points makes the set CURVE_LIKE.  A report is ``flagged`` when the Bloch
-    norm exceeds one, or the declared tails (which could lift mu onto the
-    level) sum, beyond ``LEVEL_TOL``: located maxima then describe no level set.
+    points makes the set CURVE_LIKE.  The set is EMPTY, whatever the walkers
+    reached, when the supremum plus its reported accuracy stays below one.
+    A report is ``flagged`` when the norm lies over one beyond that accuracy
+    (``membership`` then puts the mapping outside the ball), or when the
+    declared tails, which could lift mu onto the level, sum beyond
+    ``LEVEL_TOL``: located maxima then describe no level set.
     """
 
     points: np.ndarray
@@ -349,11 +365,16 @@ def _single_linkage(pts: np.ndarray, radius: float):
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
-def _unit_level_report(pts, vals, peak: float, f: HarmonicMapping) -> LambdaReport:
+def _unit_level_report(pts, vals, res: MaximizationResult, norm: float,
+                       f: HarmonicMapping) -> LambdaReport:
     # the level walkers' converged points and values, kept within LEVEL_TOL
-    # of one, deduplicated and clustered
-    flagged = peak > 1.0 + LEVEL_TOL or _tail_allowance(f) > LEVEL_TOL
+    # of one, deduplicated and clustered.  res is the supremum search of the
+    # walked function (its accuracy counting the tails) and norm the ball's
+    # norm built on it; both meet one through _unit_level_side alone
+    flagged = _unit_level_side(norm, res.accuracy) > 0 or _tail_allowance(f) > LEVEL_TOL
     keep = np.abs(vals - 1.0) <= LEVEL_TOL
+    if _unit_level_side(max(res.value, vals.max()), res.accuracy) < 0:
+        keep[:] = False  # short of the level: mu <= sup < 1 leaves no level point
     pts, vals = pts[keep], vals[keep]
     if pts.size == 0:
         return LambdaReport(pts, np.abs(vals - 1.0), LevelSetShape.EMPTY, 0.0, flagged)
@@ -374,7 +395,11 @@ def lambda_set(f: HarmonicMapping) -> LambdaReport:
     ``CURVE_MIN_POINTS`` distinct points, whatever its size) with a witness
     radius bounding all points away from the boundary.
 
-    The flag needs the Bloch norm.  When f's Bloch constant is not memoized
+    The Bloch estimate decides where f sits against the unit ball, by the
+    rule ``membership`` uses: the report is EMPTY when beta (or a better
+    level walker) plus the estimate's accuracy stays below one, and
+    flagged when ``membership`` puts f outside the ball or the declared
+    tails sum beyond ``LEVEL_TOL``.  When f's Bloch constant is not memoized
     yet, its search rides the same compass run as the level walkers
     (``maximize_on_disk`` with ``level=1``) and is memoized, so a later
     ``estimate_bloch_constant`` or ``membership`` runs no search; otherwise
@@ -387,18 +412,21 @@ def lambda_set(f: HarmonicMapping) -> LambdaReport:
         res, pts, vals = maximize_on_disk(values, level=1.0)
         # fill the cached_property's slot with what its search would return
         vars(f)["_estimate"] = _with_tail_accuracy(f, res)
-    return _unit_level_report(pts, vals, bloch_norm(f), f)
+    return _unit_level_report(pts, vals, f._estimate, bloch_norm(f), f)
 
 
 def sup_modulus(f: HarmonicMapping):
     """sup (|h| + |g|)(1 - |z|^2) together with a report on its unit level set.
 
     One ``maximize_on_disk`` call with ``level=1`` finds both: its level
-    walkers share the compass run of the supremum search.
+    walkers share the compass run of the supremum search.  The report reads
+    the supremum against one as ``lambda_set`` reads the Bloch norm, with the
+    search's accuracy plus the declared tails; the returned value carries
+    neither.
     """
     values = _weighted_abs_sum(f.h.coefficients, f.g.coefficients)
     res, pts, vals = maximize_on_disk(values, level=1.0)
-    return res.value, _unit_level_report(pts, vals, res.value, f)
+    return res.value, _unit_level_report(pts, vals, _with_tail_accuracy(f, res), res.value, f)
 
 
 def mu_grid_rows(f: HarmonicMapping, n_radii=DISK_GRID[0], n_angles=DISK_GRID[1]) -> np.ndarray:

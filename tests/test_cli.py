@@ -674,6 +674,27 @@ def test_tailed_level_set_is_flagged_and_decides_nothing(capsys, tmp_path):
     assert "flagged" in err
 
 
+def test_the_unit_ball_boundary_is_one_for_every_command(capsys, tmp_path):
+    # beta sits 5e-7 from one, beyond its reported accuracy of 1e-12 and
+    # inside LEVEL_TOL: membership's answer decides every command
+    inside = write_mapping(tmp_path, "inside.json", [0.0, 0.9999995], [0.0])
+    code, out, _ = run_cli(capsys, "lambda", "--mapping", inside)
+    assert (code, json.loads(out)["classification"]) == (0, "EMPTY")
+    for command in ("decompose", "certify-support"):
+        code, out, _ = run_cli(capsys, command, "--mapping", inside)
+        assert (code, json.loads(out)["status"]) == (0, "NONE")
+    code, out, _ = run_cli(capsys, "extreme-check", "--mapping", inside)
+    assert (code, json.loads(out)["verdict"]) == (0, "NOT_EXTREME")
+    outside = write_mapping(tmp_path, "outside.json", [0.0, 1.0000005], [0.0])
+    code, out, err = run_cli(capsys, "lambda", "--mapping", outside)
+    assert (code, json.loads(out)["flagged"]) == (2, True)
+    assert "outside the unit ball" in err
+    for command in ("decompose", "certify-support", "extreme-check"):
+        code, out, err = run_cli(capsys, command, "--mapping", outside)
+        assert (code, out) == (1, "")
+        assert len(err.strip().splitlines()) == 1
+
+
 # every subcommand that reads a mapping, with its other options
 MAPPING_CALLS = {c: argv[2:] for c, argv in VALID_CALLS.items()
                  if argv[:1] == ["--family-a"] and c != "counterexample"}

@@ -3,8 +3,10 @@ import pytest
 
 from blochmap import (
     AnalyticSeries,
+    ExtremeVerdict,
     FalsifierStatus,
     HarmonicMapping,
+    LevelSetShape,
     LinearFunctional,
     PointDerivativeFunctional,
     add_mappings,
@@ -13,8 +15,11 @@ from blochmap import (
     counterexample_family,
     decompose_support_point,
     dilation_bound,
+    extreme_necessity,
     functional_eval,
+    lambda_set,
     lift_to_derivative,
+    membership,
     perturbation_falsifier,
     sample_unit_ball,
     scale_mapping,
@@ -428,13 +433,15 @@ def test_support_certificate_membership_error_comes_before_the_flag():
 
 
 def test_decompose_residual_outside_the_ball_returns_none():
-    # the norm of f0 sits 8e-7 over one, inside LEVEL_TOL; the residual's
-    # beta of 1 + 1.6e-6 leaves the ball and flags its level set, and the
-    # membership answer comes first
+    # the norm of f0 sits 8e-7 over one, beyond its reported accuracy, so
+    # membership puts f0 outside the ball and decompose refuses it, as
+    # certify-support and extreme-check do; the residual's beta of 1 + 1.6e-6
+    # flags its level set
     f0 = HarmonicMapping(AnalyticSeries([0.5, 0.5 + 8e-7]), AnalyticSeries([0.0]))
     residual = HarmonicMapping(AnalyticSeries([0.0, (0.5 + 8e-7) / 0.5]), AnalyticSeries([0.0]))
     assert support.lambda_set(residual).flagged
-    assert decompose_support_point(f0) is None
+    with pytest.raises(ValueError, match="Bloch norm at most one"):
+        decompose_support_point(f0)
 
 
 @pytest.mark.parametrize("n", [0, -3])
@@ -458,3 +465,77 @@ def test_flagged_level_sets_decide_no_support_point():
     f0 = HarmonicMapping(AnalyticSeries([0.3, 0.7 * 0.9995], 7e-4), AnalyticSeries([0.0]))
     with pytest.raises(ValueError, match="flagged"):
         decompose_support_point(f0)
+
+
+# unit-sphere mappings for the unit-ball boundary: beta is 1 with a reported
+# accuracy of 1e-12, so every eps below lies beyond the accuracy and inside
+# LEVEL_TOL, where the level-set window alone used to decide
+SPHERE_CASES = {
+    "identity": lambda: IDENTITY,
+    "rotated-identity": lambda: HarmonicMapping(AnalyticSeries([0.0, np.exp(0.7j)]),
+                                                AnalyticSeries([0.0])),
+    **{f"family-{a}": (lambda a=a: counterexample_family(a)) for a in (0.3, 0.75, 1.5)},
+}
+BOUNDARY_EPS = [2e-9, 1e-8, 5e-7]
+
+
+@pytest.mark.parametrize("eps", BOUNDARY_EPS)
+@pytest.mark.parametrize("name", SPHERE_CASES)
+def test_just_inside_the_ball_every_analysis_sees_an_empty_level_set(name, eps):
+    f = scale_mapping(SPHERE_CASES[name](), 1.0 - eps)
+    lam = lambda_set(f)
+    assert lam.classification is LevelSetShape.EMPTY
+    assert not lam.flagged
+    assert membership(f).in_unit_ball
+    assert extreme_necessity(f).verdict is ExtremeVerdict.NOT_EXTREME
+    assert support_certificate(f, samples=16) is None
+    assert decompose_support_point(f) is None
+
+
+@pytest.mark.parametrize("eps", BOUNDARY_EPS)
+@pytest.mark.parametrize("name", SPHERE_CASES)
+def test_just_outside_the_ball_every_analysis_refuses(name, eps):
+    f = scale_mapping(SPHERE_CASES[name](), 1.0 + eps)
+    assert lambda_set(f).flagged
+    assert not membership(f).in_unit_ball
+    with pytest.raises(ValueError, match="membership"):
+        support_certificate(f, samples=16)
+    with pytest.raises(ValueError, match="membership"):
+        extreme_necessity(f)
+    with pytest.raises(ValueError, match="Bloch norm at most one"):
+        decompose_support_point(f)
+
+
+@pytest.mark.parametrize("name", SPHERE_CASES)
+def test_on_the_sphere_the_answers_stand(name):
+    f = SPHERE_CASES[name]()
+    curve = name.startswith("family")
+    lam = lambda_set(f)
+    assert lam.classification is (LevelSetShape.CURVE_LIKE if curve else LevelSetShape.ISOLATED)
+    assert not lam.flagged
+    rep = membership(f)
+    assert rep.in_unit_ball and rep.marginal
+    assert extreme_necessity(f).verdict is (ExtremeVerdict.NECESSARY_CONDITION_MET if curve
+                                            else ExtremeVerdict.NOT_EXTREME)
+    assert support_certificate(f, samples=16) is not None
+    assert decompose_support_point(f).lambda1 == 0.0
+
+
+@pytest.mark.parametrize("degree", [1, 2, 5, 8, 30, 60])
+@pytest.mark.parametrize("seed", range(20))
+def test_sampled_ball_members_sit_on_the_sphere_with_a_level_set(seed, degree):
+    f = sample_unit_ball(seed, degree)
+    assert membership(f).marginal
+    lam = lambda_set(f)
+    assert lam.classification is not LevelSetShape.EMPTY
+    assert not lam.flagged
+
+
+def test_falsifier_reads_a_modulus_short_of_one_as_an_empty_level_set():
+    # the modulus of c z peaks at 1 - 5e-7, beyond its reported accuracy and
+    # inside LEVEL_TOL: the level set is empty, so the falsifier improves f
+    f = HarmonicMapping(AnalyticSeries([0.0, 1.5 * np.sqrt(3.0) * (1.0 - 5e-7)]),
+                        AnalyticSeries([0.0]))
+    out = perturbation_falsifier(LinearFunctional([0.0, 1.0], [0.0]), f)
+    assert out.status is FalsifierStatus.IMPROVED
+    assert out.improvement > 0.0 and out.modulus_after <= 1.0 + 1e-12
