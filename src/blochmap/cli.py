@@ -147,8 +147,8 @@ def _cmd_mu_grid(args):
 
 def _cmd_lambda(args):
     rep = lambda_set(_input_mapping(args))
-    flag = ("Bloch norm over one beyond its accuracy (outside the unit ball) or tails"
-            " over LEVEL_TOL; level-set points are unreliable")
+    flag = ("Bloch norm over one beyond its accuracy (outside the unit ball), or on the"
+            " level with tails over LEVEL_TOL; level-set points are unreliable")
     return rep.to_dict(), flag if rep.flagged else None
 
 

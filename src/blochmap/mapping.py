@@ -254,7 +254,8 @@ def metric_beta_estimate(f: HarmonicMapping, samples: int, seed: int = 0) -> flo
     return best
 
 
-# located maxima within this of one lie on the unit level set
+# located maxima within this of one lie on the unit level set; declared tails
+# beyond it flag a report that reaches the level.  It draws no ball boundary
 LEVEL_TOL = 1e-6
 # level-set points at most this far apart join one cluster
 MERGE_RADIUS = 0.05
@@ -274,9 +275,11 @@ class LambdaReport:
     points makes the set CURVE_LIKE.  The set is EMPTY, whatever the walkers
     reached, when the supremum plus its reported accuracy stays below one.
     A report is ``flagged`` when the norm lies over one beyond that accuracy
-    (``membership`` then puts the mapping outside the ball), or when the
-    declared tails, which could lift mu onto the level, sum beyond
-    ``LEVEL_TOL``: located maxima then describe no level set.
+    (``membership`` then puts the mapping outside the ball), or when it
+    reaches the level and the declared tails sum beyond ``LEVEL_TOL``:
+    located maxima then describe no level set.  A report short of the level
+    is never flagged for its tails, which its accuracy already counts.
+    Every analysis refuses exactly a flagged report.
     """
 
     points: np.ndarray
@@ -371,9 +374,13 @@ def _unit_level_report(pts, vals, res: MaximizationResult, norm: float,
     # of one, deduplicated and clustered.  res is the supremum search of the
     # walked function (its accuracy counting the tails) and norm the ball's
     # norm built on it; both meet one through _unit_level_side alone
-    flagged = _unit_level_side(norm, res.accuracy) > 0 or _tail_allowance(f) > LEVEL_TOL
+    short = _unit_level_side(max(res.value, vals.max()), res.accuracy) < 0
+    # a short report's accuracy already counts the tails, so they flag only
+    # a report that reaches the level
+    flagged = (_unit_level_side(norm, res.accuracy) > 0
+               or (_tail_allowance(f) > LEVEL_TOL and not short))
     keep = np.abs(vals - 1.0) <= LEVEL_TOL
-    if _unit_level_side(max(res.value, vals.max()), res.accuracy) < 0:
+    if short:
         keep[:] = False  # short of the level: mu <= sup < 1 leaves no level point
     pts, vals = pts[keep], vals[keep]
     if pts.size == 0:
@@ -398,9 +405,10 @@ def lambda_set(f: HarmonicMapping) -> LambdaReport:
     The Bloch estimate decides where f sits against the unit ball, by the
     rule ``membership`` uses: the report is EMPTY when beta (or a better
     level walker) plus the estimate's accuracy stays below one, and
-    flagged when ``membership`` puts f outside the ball or the declared
-    tails sum beyond ``LEVEL_TOL``.  When f's Bloch constant is not memoized
-    yet, its search rides the same compass run as the level walkers
+    flagged when ``membership`` puts f outside the ball, or when beta
+    reaches the level within that accuracy and the declared tails sum
+    beyond ``LEVEL_TOL``.  When f's Bloch constant is not memoized yet, its
+    search rides the same compass run as the level walkers
     (``maximize_on_disk`` with ``level=1``) and is memoized, so a later
     ``estimate_bloch_constant`` or ``membership`` runs no search; otherwise
     the level walkers run alone.
@@ -422,7 +430,9 @@ def sup_modulus(f: HarmonicMapping):
     walkers share the compass run of the supremum search.  The report reads
     the supremum against one as ``lambda_set`` reads the Bloch norm, with the
     search's accuracy plus the declared tails; the returned value carries
-    neither.
+    neither.  So the report is flagged exactly when f lies outside the
+    modulus ball sup (|h| + |g|)(1 - |z|^2) <= 1, or reaches its level with
+    tails beyond ``LEVEL_TOL``.
     """
     values = _weighted_abs_sum(f.h.coefficients, f.g.coefficients)
     res, pts, vals = maximize_on_disk(values, level=1.0)

@@ -517,7 +517,9 @@ def support_certificate(f: HarmonicMapping, samples: int = 10000, seed: int = 0)
     against `samples` stratified random members of the ball.  Every sampled
     member is rotated to align its functional value (rotation preserves
     membership), so the recorded maximum is conservative.  A candidate z0
-    that cannot be pushed within 1e-9 of the unit level is treated as empty.
+    that cannot be pushed within 1e-9 of the unit level raises ValueError:
+    the unflagged, nonempty report says Λ_f is not empty, so None would
+    contradict it.
 
     The level set is located before membership is checked: its compass run
     also finds β, which membership then reads from the memo.  The errors
@@ -539,7 +541,9 @@ def support_certificate(f: HarmonicMapping, samples: int = 10000, seed: int = 0)
     z0 = complex(pts[0])
     mu0 = float(vals[0])
     if mu0 < 1.0 - 1e-9:
-        return None
+        # the report is unflagged and nonempty: None would say Λ_f is empty
+        raise ValueError(f"the nearest level point refines to mu = {mu0!r}, short of one, "
+                         f"on a nonempty level set (declared tails {_tail_allowance(f)!r})")
 
     hp0 = eval_series(differentiate(f.h), z0)
     gp0 = eval_series(differentiate(f.g), z0)
@@ -660,15 +664,18 @@ def perturbation_falsifier(L: LinearFunctional, f: HarmonicMapping) -> Falsifier
     When the unit level set of (|h| + |g|)(1 - |z|^2) is empty, dilating f
     and adding a small aligned monomial bump strictly increases Re L while
     keeping the modulus below one, so f supports no functional there.  A
-    nonempty level set is exactly the obstruction: NOT_APPLICABLE.
+    nonempty level set is exactly the obstruction: NOT_APPLICABLE.  A
+    flagged ``sup_modulus`` report raises ValueError: f lies outside the
+    modulus ball, or reaches its level with tails beyond ``LEVEL_TOL``.
     """
     if L.effectively_zero:
         raise ValueError("functional vanishes on every mapping with g(0) = 0")
     base_value = functional_eval(L, f).real
     modulus, report = sup_modulus(f)
     modulus += _tail_allowance(f)
-    if modulus > 1.0 + LEVEL_TOL:
-        raise ValueError("falsifier requires sup (|h|+|g|)(1-|z|^2) <= 1")
+    if report.flagged:
+        raise ValueError("falsifier requires f in the modulus ball sup (|h|+|g|)(1-|z|^2) <= 1 "
+                         "with an unflagged level set (see sup_modulus)")
     if report.classification is not LevelSetShape.EMPTY:
         return FalsifierOutcome(FalsifierStatus.NOT_APPLICABLE,
                                 "unit level set of the modulus is nonempty", modulus)
@@ -746,19 +753,23 @@ def decompose_support_point(f0: HarmonicMapping):
     Writes f0 as lambda1*u + (1-lambda1)*f with u = f0(0)/|f0(0)| and
     lambda1 = |f0(0)|; succeeds when the residual lies in the normalized unit
     ball with a nonempty unit level set, else returns None, and raises
-    ValueError on a flagged one.  An f0 that ``membership`` puts outside the
-    unit ball raises ValueError, and a residual whose Bloch constant plus its
-    accuracy stays below one has an EMPTY level set: both boundaries are the
-    ones ``membership`` and ``lambda_set`` draw.  All-constant and
-    constant-free inputs (lambda1 within ``LEVEL_TOL`` of 1 or 0) degenerate
-    to lambda1 = 1 and 0.
+    ValueError on a flagged one.  ``membership`` draws the ball's boundary:
+    an f0 outside the unit ball raises ValueError, and one inside it but
+    not marginal returns None, since interior points support nothing.  A
+    constant-free f0 takes lambda1 = 0 and u = 1.  When lambda1 lies within
+    ``LEVEL_TOL`` of one, the residual is set to zero and lambda1 kept as
+    |f0(0)|: dividing by 1 - lambda1 would blow the residual's rounding
+    past its reported accuracy.
 
     The residual's level set is located before its membership is checked,
     so one compass run finds both; a residual outside the ball still returns
     None before a flagged level set raises.
     """
-    if not membership(f0).in_unit_ball:
+    rep = membership(f0)
+    if not rep.in_unit_ball:
         raise ValueError("decomposition requires Bloch norm at most one")
+    if not rep.marginal:
+        return None
     c0 = f0.value_at_origin
     lam1 = abs(c0)
 
@@ -766,7 +777,7 @@ def decompose_support_point(f0: HarmonicMapping):
         zero = AnalyticSeries([0.0])
         return SupportDecomposition(lam1, c0 / lam1, HarmonicMapping(zero, zero))
 
-    if lam1 <= LEVEL_TOL:
+    if c0 == 0:
         lam1, u, factor = 0.0, 1.0 + 0.0j, 1.0
     else:
         u, factor = c0 / lam1, 1.0 / (1.0 - lam1)

@@ -695,6 +695,24 @@ def test_the_unit_ball_boundary_is_one_for_every_command(capsys, tmp_path):
         assert len(err.strip().splitlines()) == 1
 
 
+def test_falsify_decompose_and_lambda_read_the_one_flag(capsys, tmp_path):
+    # the modulus of c z peaks at 1 + 5e-7, outside the modulus ball
+    over = write_mapping(tmp_path, "over.json", [0.0, 2.5980775103915], [0.0])
+    fpath = write_functional(tmp_path, "a1.json", [[0, 0], [1, 0]], [[0, 0]])
+    code, out, err = run_cli(capsys, "falsify", "--mapping", over, "--functional", fpath)
+    assert (code, out) == (1, "")
+    assert "modulus ball" in err
+    # a constant of norm 1 - 5e-7 lies inside the ball: no support point
+    inside = write_mapping(tmp_path, "const.json", [0.9999995], [0.0])
+    code, out, _ = run_cli(capsys, "decompose", "--mapping", inside)
+    assert (code, json.loads(out)["status"]) == (0, "NONE")
+    # 0.5 z with a declared tail of 1e-3 stays short of the level: unflagged
+    short = write_mapping(tmp_path, "short.json", [0.0, 0.5], [0.0], tail_h=1e-3)
+    code, out, _ = run_cli(capsys, "lambda", "--mapping", short)
+    payload = json.loads(out)
+    assert (code, payload["classification"], payload["flagged"]) == (0, "EMPTY", False)
+
+
 # every subcommand that reads a mapping, with its other options
 MAPPING_CALLS = {c: argv[2:] for c, argv in VALID_CALLS.items()
                  if argv[:1] == ["--family-a"] and c != "counterexample"}

@@ -508,13 +508,26 @@ def test_declared_tails_above_the_level_tolerance_flag_the_level_set():
     rep = lambda_set(TAILED_NEAR_LEVEL)
     assert rep.classification is LevelSetShape.EMPTY
     assert rep.flagged
-    _, rep = sup_modulus(HarmonicMapping(AnalyticSeries([0.0, 0.5], 1e-3), AnalyticSeries([0.0])))
+    # the modulus of c z peaks at 2c / (3 sqrt 3), here 1 - 5e-7
+    near_modulus = HarmonicMapping(AnalyticSeries([0.0, 1.5 * np.sqrt(3.0) * (1.0 - 5e-7)], 1e-3),
+                                   AnalyticSeries([0.0]))
+    _, rep = sup_modulus(near_modulus)
     assert rep.flagged
     # the sum of both tails counts, and a sum within LEVEL_TOL flags nothing
-    split = HarmonicMapping(AnalyticSeries([0.0, 0.9995], 0.6 * mapping.LEVEL_TOL),
+    split = HarmonicMapping(AnalyticSeries([0.0, 0.9999995], 0.6 * mapping.LEVEL_TOL),
                             AnalyticSeries([0.0], 0.6 * mapping.LEVEL_TOL))
     assert lambda_set(split).flagged
-    small = HarmonicMapping(AnalyticSeries([0.0, 0.9995], 0.5 * mapping.LEVEL_TOL),
+    small = HarmonicMapping(AnalyticSeries([0.0, 0.9999995], 0.5 * mapping.LEVEL_TOL),
                             AnalyticSeries([0.0]))
     assert not lambda_set(small).flagged
     assert not sup_modulus(small)[1].flagged
+    # a short report's accuracy already counts the tails, so no tail can
+    # lift mu onto the level: the report is EMPTY and unflagged
+    _, rep = sup_modulus(HarmonicMapping(AnalyticSeries([0.0, 0.5], 1e-3), AnalyticSeries([0.0])))
+    assert rep.classification is LevelSetShape.EMPTY
+    assert not rep.flagged
+    short = HarmonicMapping(AnalyticSeries([0.0, 0.9995], 0.6 * mapping.LEVEL_TOL),
+                            AnalyticSeries([0.0], 0.6 * mapping.LEVEL_TOL))
+    rep = lambda_set(short)
+    assert rep.classification is LevelSetShape.EMPTY
+    assert not rep.flagged

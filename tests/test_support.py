@@ -420,6 +420,24 @@ def test_decompose_interior_returns_none():
     assert decompose_support_point(scale_mapping(IDENTITY, 0.5)) is None
 
 
+def test_decompose_interior_constant_returns_none():
+    # norm 1 - 5e-7 lies inside the ball beyond its accuracy: no support point
+    f0 = HarmonicMapping(AnalyticSeries([0.9999995]), AnalyticSeries([0.0]))
+    assert not membership(f0).marginal
+    assert decompose_support_point(f0) is None
+
+
+def test_decompose_keeps_a_small_constant():
+    # 5e-7 + (1 - 5e-7) z lies on the sphere and splits as 5e-7 * 1 + (1 - 5e-7) z,
+    # up to the rounding of (1 - 5e-7) / (1 - 5e-7)
+    f0 = HarmonicMapping(AnalyticSeries([5e-7, 1.0 - 5e-7]), AnalyticSeries([0.0]))
+    dec = decompose_support_point(f0)
+    assert dec.lambda1 == 5e-7
+    assert dec.u == 1.0
+    assert np.allclose(dec.f.h.coefficients, [0.0, 1.0], rtol=0.0, atol=1e-15)
+    assert np.array_equal(dec.f.g.coefficients, [0.0])
+
+
 def test_decompose_rejects_oversized_norm():
     with pytest.raises(ValueError):
         decompose_support_point(scale_mapping(IDENTITY, 1.2))
@@ -521,6 +539,52 @@ def test_on_the_sphere_the_answers_stand(name):
     assert decompose_support_point(f).lambda1 == 0.0
 
 
+@pytest.mark.parametrize("tail", [0.0, 5e-7, 1e-3])
+@pytest.mark.parametrize("scale", [0.5, 0.9, 1.0])
+@pytest.mark.parametrize("name", SPHERE_CASES)
+def test_declared_tails_flag_only_a_level_set_that_reaches_the_level(name, scale, tail):
+    # a short level set's accuracy already counts the tails, so it stays
+    # unflagged and EMPTY; on the sphere only tails beyond LEVEL_TOL flag it
+    g = scale_mapping(SPHERE_CASES[name](), scale)
+    f = HarmonicMapping(AnalyticSeries(g.h.coefficients, tail), g.g)
+    lam = lambda_set(f)
+    if scale < 1.0:
+        assert lam.classification is LevelSetShape.EMPTY
+        assert not lam.flagged
+        assert extreme_necessity(f).verdict is ExtremeVerdict.NOT_EXTREME
+        assert support_certificate(f, samples=16, seed=5) is None
+        assert decompose_support_point(f) is None
+    elif tail > 1e-6:
+        assert lam.flagged
+        assert extreme_necessity(f).verdict is ExtremeVerdict.UNRESOLVED
+        with pytest.raises(ValueError, match="flagged"):
+            support_certificate(f, samples=16, seed=5)
+        with pytest.raises(ValueError, match="flagged"):
+            decompose_support_point(f)
+    else:
+        curve = name.startswith("family")
+        assert lam.classification is (LevelSetShape.CURVE_LIKE if curve else LevelSetShape.ISOLATED)
+        assert not lam.flagged
+        assert extreme_necessity(f).verdict is (ExtremeVerdict.NECESSARY_CONDITION_MET if curve
+                                                else ExtremeVerdict.NOT_EXTREME)
+        assert support_certificate(f, samples=16, seed=5) is not None
+        assert decompose_support_point(f).lambda1 == 0.0
+
+
+def test_a_level_point_short_of_one_on_a_nonempty_level_set_raises():
+    # beta = 1 - 5e-7 with a declared tail of 8e-7 reaches the level within
+    # its accuracy, and the tail stays within LEVEL_TOL: the level set is
+    # nonempty and unflagged, so no certificate may answer that it is empty
+    f = HarmonicMapping(AnalyticSeries([0.0, 1.0 - 5e-7], 8e-7), AnalyticSeries([0.0]))
+    lam = lambda_set(f)
+    assert lam.classification is LevelSetShape.ISOLATED
+    assert not lam.flagged
+    assert extreme_necessity(f).verdict is ExtremeVerdict.NOT_EXTREME
+    assert decompose_support_point(f) is not None
+    with pytest.raises(ValueError, match=r"mu = 0\.9999995.*tails 8e-07"):
+        support_certificate(f, samples=16)
+
+
 @pytest.mark.parametrize("degree", [1, 2, 5, 8, 30, 60])
 @pytest.mark.parametrize("seed", range(20))
 def test_sampled_ball_members_sit_on_the_sphere_with_a_level_set(seed, degree):
@@ -529,6 +593,17 @@ def test_sampled_ball_members_sit_on_the_sphere_with_a_level_set(seed, degree):
     lam = lambda_set(f)
     assert lam.classification is not LevelSetShape.EMPTY
     assert not lam.flagged
+
+
+@pytest.mark.parametrize("eps", [2e-9, 5e-7, 2e-6])
+def test_falsifier_refuses_a_modulus_outside_the_ball(eps):
+    # the modulus of c z peaks at 1 + eps, beyond its reported accuracy:
+    # sup_modulus flags the report, and the falsifier refuses it
+    f = HarmonicMapping(AnalyticSeries([0.0, 1.5 * np.sqrt(3.0) * (1.0 + eps)]),
+                        AnalyticSeries([0.0]))
+    assert support.sup_modulus(f)[1].flagged
+    with pytest.raises(ValueError, match="modulus ball"):
+        perturbation_falsifier(LinearFunctional([0.0, 1.0], [0.0]), f)
 
 
 def test_falsifier_reads_a_modulus_short_of_one_as_an_empty_level_set():
