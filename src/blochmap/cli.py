@@ -62,20 +62,110 @@ def _json_default(v):
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
-# rows per "%" call of the CSV renderer
-CSV_BLOCK_ROWS = 4096
+# rows the CSV renderer lays out in numpy at a time; a block's temporaries
+# peak near 0.75 KB per row of three values, and 1024-row blocks leave the
+# process's peak resident memory where the row-wise renderer left it
+CSV_BLOCK_ROWS = 1024
+
+# 10**k is an exact double for 0 <= k <= 22
+_POW10 = 10.0 ** np.arange(23)
+# the text of each value before its digits: "0." and the zeros of an
+# exponent E = 0, -1, ..., -4, NUL-padded to 6 slots
+_PREFIX = np.array([[0] * 6] + [list(b"0." + b"0" * k) + [0] * (4 - k) for k in range(4)],
+                   dtype=np.uint8)
+# the two characters of 0, ..., 99
+_PAIRS = np.array([divmod(i, 10) for i in range(100)], dtype=np.uint8) + ord("0")
+# row k keeps the first k + 1 of 17 digits
+_KEEP = np.tri(17, dtype=np.uint8) * 255
+
+
+def _two_product(a, b):
+    # Dekker's product: p + e == a*b exactly; Veltkamp splits in separate
+    # ufuncs, so no step is fused into an fma
+    p = a * b
+    c = 134217729.0 * a
+    ah = c - (c - a)
+    al = a - ah
+    c = 134217729.0 * b
+    bh = c - (c - b)
+    bl = b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _digit_chars(D: np.ndarray) -> np.ndarray:
+    # the 17 decimal digits of each D in [1e16, 1e17) as ASCII, split by
+    # scalar divisions down to pairs that one table lookup writes
+    n = len(D)
+    lead, rest = np.divmod(D, 10 ** 16)
+    halves = np.stack(np.divmod(rest, 10 ** 8), axis=1)
+    quarters = np.stack(np.divmod(halves, 10 ** 4), axis=2).reshape(n, 4)
+    pairs = np.stack(np.divmod(quarters, 100), axis=2).reshape(n, 8)
+    chars = np.empty((n, 17), dtype=np.uint8)
+    chars[:, 0] = lead + ord("0")
+    chars[:, 1:] = np.take(_PAIRS, pairs, axis=0).reshape(n, 16)
+    return chars
+
+
+def _format_block(values: np.ndarray) -> bytes:
+    """The rows of ``values`` as CSV lines, each one preceded by its newline,
+    with every float written exactly as ``format(x, ".17g")`` writes it.
+
+    Every value gets 41 slots: its separator, sign, the "0." prefix of a
+    value below one, then 17 digit slots with a point slot after each digit
+    but the last.  Unused slots hold NUL, which is dropped at the end."""
+    n_rows, n_cols = values.shape
+    x = values.ravel()
+    ax = np.abs(x)
+    # 1e-4 <= |x| < 1e16 is written in fixed notation with at most 17
+    # significant digits; NaN fails both tests
+    fast = (ax >= 1e-4) & (ax < 1e16)
+    a = np.where(fast, ax, 1.0)
+    # the decimal exponent E of a, so that 1e16 <= a * 10**(16 - E) < 1e17;
+    # log10 may miss by one next to a power of ten, which the exact product
+    # shows and corrects
+    E = np.floor(np.log10(a)).astype(np.int64)
+    p, e = _two_product(a, np.take(_POW10, 16 - E))
+    high = (p > 1e17) | ((p == 1e17) & (e >= 0))
+    low = (p < 1e16) | ((p == 1e16) & (e < 0))
+    miss = np.flatnonzero(high | low)
+    if miss.size:
+        E[miss] += np.where(high[miss], 1, -1)
+        p[miss], e[miss] = _two_product(a[miss], np.take(_POW10, 16 - E[miss]))
+    # p >= 1e16 > 2**53 is an even integer, so adding rint(e) rounds the
+    # exact product half to even, as the conversion does.  No rounding
+    # carries to 1e17: the largest double below each 10**k, -3 <= k <= 16,
+    # lies at least 8 units of its 17th digit below it
+    chars = _digit_chars(p.astype(np.int64) + np.rint(e).astype(np.int64))
+    # the last digit written: the last nonzero one, or the units digit
+    last = np.maximum(16 - np.argmax(chars[:, ::-1] != ord("0"), axis=1), E)
+    slots = np.zeros((len(x), 41), dtype=np.uint8)
+    slots[:, 1] = np.where(np.signbit(x), ord("-"), 0)
+    slots[:, 2:8] = np.take(_PREFIX, np.clip(-E, 0, 4), axis=0)
+    slots[:, 8::2] = chars & np.take(_KEEP, last, axis=0)
+    # the point after the units digit, when digits follow it; below one the
+    # prefix holds it
+    frac = np.flatnonzero((E >= 0) & (last > E))
+    slots.reshape(-1)[frac * 41 + 9 + 2 * E[frac]] = ord(".")
+    # a zero keeps its sign and writes "0" over the "1" of its stand-in
+    # a = 1; every other value outside the fast range takes the conversion
+    slots[x == 0, 8] = ord("0")
+    for i in np.flatnonzero(~fast & (x != 0)):
+        text = b"%.17g" % x[i]
+        slots[i, 1:] = 0
+        slots[i, 1:1 + len(text)] = np.frombuffer(text, dtype=np.uint8)
+    # each row starts with its newline, each later value with a comma
+    slots.reshape(n_rows, n_cols, 41)[:, :, 0] = [ord("\n")] + [ord(",")] * (n_cols - 1)
+    return slots.tobytes().translate(None, b"\0")
 
 
 def _render_csv(payload: dict) -> str:
-    # one %-format per block of rows: "%.17g" writes the same text as
-    # format(x, ".17g")
-    row_format = ",".join(["%.17g"] * len(payload["header"]))
     rows = np.asarray(payload["rows"], dtype=float)
-    lines = [",".join(payload["header"])]
+    # each block's lines start with their newline, so the header and the
+    # blocks join without a trailing newline to cut off
+    parts = [",".join(payload["header"])]
     for start in range(0, len(rows), CSV_BLOCK_ROWS):
-        block = rows[start:start + CSV_BLOCK_ROWS]
-        lines.append("\n".join([row_format] * len(block)) % tuple(block.ravel().tolist()))
-    return "\n".join(lines)
+        parts.append(_format_block(rows[start:start + CSV_BLOCK_ROWS]).decode("ascii"))
+    return "".join(parts)
 
 
 def _render(payload: dict) -> str:
@@ -314,7 +404,7 @@ def main(argv=None) -> int:
                 # two writes: text + "\n" would copy a multi-megabyte CSV
                 fh.write(text)
                 fh.write("\n")
-    except (_ArgumentError, ValueError, RuntimeError, OSError) as exc:
+    except (_ArgumentError, ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(str(exc) or "unspecified error", file=sys.stderr)
         return 1
     if flag is not None:

@@ -80,9 +80,11 @@ def eval_series(s: AnalyticSeries, z) -> complex:
     policy.
 
     This runs the Horner steps of ``polyval_batch`` in the same order on
-    Python complex numbers instead of 0-d arrays.  Python's complex multiply
-    and add round exactly as numpy's complex ufuncs do, so the result has the
-    same bits at about 25x less cost per scalar call.
+    Python complex numbers instead of 0-d arrays, at about 25x less cost per
+    scalar call.  The result has the bits of ``polyval_batch`` on a single
+    point.  On an array of two or more points numpy's complex multiply may
+    take a vectorized loop that rounds differently, so a value read off a
+    grid or a compass walk can differ from this one in the last bit.
     """
     z = complex(z)
     if not abs(z) < 1.0:

@@ -340,6 +340,23 @@ def test_unwritable_output_file_is_a_one_line_error(capsys, tmp_path, command):
     assert not out_path.parent.exists()
 
 
+def test_out_of_memory_is_a_one_line_error(capsys, tmp_path, monkeypatch):
+    # a grid too large to allocate, without allocating it
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 149. GiB for an array with shape "
+                          "(100000, 100000) and data type complex128")
+
+    monkeypatch.setattr(cli, "mu_grid_rows", too_large)
+    out_path = tmp_path / "grid.csv"
+    code, out, err = run_cli(capsys, "mu-grid", "--family-a", "1", "--grid", "100000x100000",
+                             "--out", str(out_path))
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "Unable to allocate" in err
+    assert not out_path.exists()
+
+
 def test_empty_output_path_is_an_error(capsys):
     # an empty --out names no file: it fails to open instead of falling back
     # to stdout

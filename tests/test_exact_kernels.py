@@ -14,6 +14,7 @@ tolerance.
 
 import json
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -566,7 +567,7 @@ def test_inner_disk_gap_matches_inline_form(degree):
             assert bits(complex(got)) == bits(complex(want)), (radius,)
 
 
-# the CLI's per-float CSV renderer, kept as the reference for the row-wise one
+# the CLI's per-float CSV renderer, kept as the reference for the numpy one
 
 def reference_render_csv(payload):
     lines = [",".join(payload["header"])]
@@ -600,6 +601,44 @@ def test_csv_renderer_matches_per_float_form_on_edge_values():
     assert "-0,0,4.9406564584124654e-324" in rendered
     assert "nan,inf,-inf" in rendered
     assert cli._render_csv(csv_payload(np.zeros((0, 3)))) == "re,im,mu"
+
+
+def seventeen_digit_ties(rng, n):
+    # q / 2**j with q odd has j fractional digits ending in 5; with 18 - j
+    # integer digits its 18th significant digit is that last 5, an exact tie
+    ties = []
+    for j in range(2, 16):
+        lo, hi = 10 ** (17 - j) * 2 ** j, min(10 ** (18 - j), 2 ** (53 - j)) * 2 ** j
+        if lo < hi:
+            ties.append((rng.integers(lo, hi, n) | 1) / 2.0 ** j)
+    ties = np.concatenate(ties)
+    for x in ties[::len(ties) // 100]:
+        digits = str(Decimal(float(x))).replace(".", "").lstrip("0")
+        assert len(digits) == 18 and digits[-1] == "5"
+    return ties
+
+
+def test_csv_renderer_matches_per_float_form_on_the_fast_path():
+    # the numpy path writes 1e-4 <= |x| < 1e16; the values around it fall back
+    rng = np.random.default_rng(710)
+    n = 20000
+    powers = 10.0 ** np.arange(-4, 17)
+    edges = np.concatenate([np.nextafter(powers, 0), powers, np.nextafter(powers, np.inf),
+                            [np.nextafter(1.0, 0), 1447495411393100.0]])
+    drawn = np.concatenate([
+        10.0 ** rng.uniform(-6, 17, n),
+        rng.integers(np.float64(1e-6).view(np.int64), np.float64(1e17).view(np.int64),
+                     n).view(np.float64),
+        np.round(10.0 ** rng.uniform(0, 10, n)) * 10.0 ** rng.integers(0, 7, n),
+        rng.integers(1, 10 ** 6, n) / 10.0 ** rng.integers(0, 9, n),
+        seventeen_digit_ties(rng, 2000),
+    ])
+    drawn *= rng.choice([-1.0, 1.0], len(drawn))
+    values = np.concatenate([edges, -edges, [-0.0], drawn])
+    assert len(values) >= 10 ** 5
+    rows = values[:len(values) // 3 * 3].reshape(-1, 3)
+    payload = csv_payload(rows)
+    assert cli._render_csv(payload) == reference_render_csv(payload)
 
 
 def test_cli_sharpen_runs_one_dense_check(monkeypatch, capsys, tmp_path):
