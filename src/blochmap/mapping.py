@@ -78,7 +78,7 @@ class HarmonicMapping:
     @functools.cached_property
     def _estimate(self) -> MaximizationResult:
         # the memo of estimate_bloch_constant, held in the instance dict;
-        # lambda_set may fill it first
+        # lambda_set or _peel_constant may fill it first
         return _with_tail_accuracy(self, maximize_on_disk(_mu_values(self)))
 
 
@@ -159,12 +159,28 @@ def estimate_bloch_constant(f: HarmonicMapping) -> MaximizationResult:
     polynomials contribute nothing).
 
     The result is memoized on the mapping, so every analysis of one mapping
-    object reads one β.  This is safe because the coefficient arrays are
-    read-only and the search is deterministic: a memo hit returns exactly
-    what a recomputation would, and two threads racing on a first call store
-    equal values.  The memo lives and dies with its mapping.
+    object reads one β.  The coefficient arrays are read-only and the search
+    deterministic, so a hit returns what a search would (a ``_peel_constant``
+    residual holds its parent's estimate, scaled), and two threads racing on
+    a first call store equal values.  The memo lives and dies with its mapping.
     """
     return f._estimate
+
+
+def _peel_constant(f: HarmonicMapping, lam1: float) -> HarmonicMapping:
+    """(f - f(0)) / (1 - lam1) for lam1 < 1, carrying f's Bloch estimate.
+
+    mu of the result is mu_f times 1/(1 - lam1) exactly, so f's estimate
+    with value and accuracy scaled by that factor fills the result's memo:
+    its level set then walks its level seeds without a search of its own.
+    """
+    factor = 1.0 / (1.0 - lam1)
+    out = HarmonicMapping(*(AnalyticSeries(np.r_[0.0, s.coefficients[1:]] * factor,
+                                           s.tail_bound * factor) for s in (f.h, f.g)))
+    est = f._estimate
+    vars(out)["_estimate"] = MaximizationResult(est.value * factor, est.accuracy * factor,
+                                                est.argmax)
+    return out
 
 
 def bloch_constant(f: HarmonicMapping) -> float:

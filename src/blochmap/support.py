@@ -15,7 +15,6 @@ import numpy as np
 from .series import AnalyticSeries, differentiate, dilate, eval_series, linear_combination, polyval_batch
 from .optimize import DISK_RADIUS_CAP, compass_maximize, maximize_on_disk, polar_grid
 from .mapping import (
-    LEVEL_TOL,
     HarmonicMapping,
     LambdaReport,
     LevelSetShape,
@@ -23,6 +22,7 @@ from .mapping import (
     _disk_weight,
     _json_pairs,
     _mu_values,
+    _peel_constant,
     _tail_allowance,
     _to_json_pairs,
     _weighted_abs_sum,
@@ -502,9 +502,18 @@ def _draw_sample_rows(f: HarmonicMapping, z0: complex, count: int, columns: int,
     return h_rows, g_rows, labels
 
 
-def _refuse_flagged(lam: LambdaReport) -> None:
+def _member_level_set(f: HarmonicMapping) -> LambdaReport | None:
+    """Λ_f of f in the normalized unit ball, or None when it is EMPTY: f
+    supports that ball exactly when Λ_f is not empty.  It is located before
+    membership is checked, so its compass run also finds β unless memoized;
+    the errors keep their order: membership, then a flagged level set.
+    """
+    lam = lambda_set(f)
+    if not membership(f).in_normalized_unit_ball:
+        raise ValueError("support certificates require membership in the normalized unit ball")
     if lam.flagged:
         raise ValueError("a flagged unit level set decides no support point (see lambda)")
+    return None if lam.classification is LevelSetShape.EMPTY else lam
 
 
 def support_certificate(f: HarmonicMapping, samples: int = 10000, seed: int = 0):
@@ -519,19 +528,12 @@ def support_certificate(f: HarmonicMapping, samples: int = 10000, seed: int = 0)
     membership), so the recorded maximum is conservative.  A candidate z0
     that cannot be pushed within 1e-9 of the unit level raises ValueError:
     the unflagged, nonempty report says Λ_f is not empty, so None would
-    contradict it.
-
-    The level set is located before membership is checked: its compass run
-    also finds β, which membership then reads from the memo.  The errors
-    keep their order: sample count, membership, then a flagged level set.
+    contradict it.  A sample count below one raises before anything runs.
     """
     if samples < 1:
         raise ValueError("at least one sample is required")
-    lam = lambda_set(f)
-    if not membership(f).in_normalized_unit_ball:
-        raise ValueError("support certificates require membership in the normalized unit ball")
-    _refuse_flagged(lam)
-    if lam.classification is LevelSetShape.EMPTY:
+    lam = _member_level_set(f)
+    if lam is None:
         return None
     z0 = complex(lam.points[int(np.argmin(lam.residuals))])
 
@@ -741,29 +743,21 @@ class SupportDecomposition:
         }
 
 
-def _with_zero_constant(s: AnalyticSeries, factor: float) -> AnalyticSeries:
-    c = s.coefficients.copy()
-    c[0] = 0.0
-    return AnalyticSeries(c * factor, s.tail_bound * abs(factor))
-
-
 def decompose_support_point(f0: HarmonicMapping):
     """Peel the constant part off a candidate support point of the unit ball.
 
-    Writes f0 as lambda1*u + (1-lambda1)*f with u = f0(0)/|f0(0)| and
-    lambda1 = |f0(0)|; succeeds when the residual lies in the normalized unit
-    ball with a nonempty unit level set, else returns None, and raises
-    ValueError on a flagged one.  ``membership`` draws the ball's boundary:
-    an f0 outside the unit ball raises ValueError, and one inside it but
-    not marginal returns None, since interior points support nothing.  A
-    constant-free f0 takes lambda1 = 0 and u = 1.  When lambda1 lies within
-    ``LEVEL_TOL`` of one, the residual is set to zero and lambda1 kept as
-    |f0(0)|: dividing by 1 - lambda1 would blow the residual's rounding
-    past its reported accuracy.
+    Writes f0 as lambda1*u + (1-lambda1)*f with lambda1 = |f0(0)| and
+    u = f0(0)/lambda1, or u = 1 for a constant-free f0, and tests f as
+    ``support_certificate`` does: DECOMPOSED when Λ_f is not empty, None when
+    it is EMPTY, and ValueError when f lies outside the normalized unit ball
+    or its level set is flagged.  ``membership`` draws the ball's boundary:
+    an f0 outside the unit ball raises ValueError, and one inside it but not
+    marginal returns None, since interior points support nothing.
 
-    The residual's level set is located before its membership is checked,
-    so one compass run finds both; a residual outside the ball still returns
-    None before a flagged level set raises.
+    f's Bloch estimate is f0's scaled by 1/(1-lambda1), so one search serves
+    both.  When lambda1 >= 1, or f0's Bloch constant lies within its reported
+    accuracy of zero, f0 is a unimodular constant up to that accuracy and
+    splits as lambda1*u with f = 0.
     """
     rep = membership(f0)
     if not rep.in_unit_ball:
@@ -772,21 +766,10 @@ def decompose_support_point(f0: HarmonicMapping):
         return None
     c0 = f0.value_at_origin
     lam1 = abs(c0)
-
-    if lam1 >= 1.0 - LEVEL_TOL:
+    u = c0 / lam1 if lam1 else 1.0 + 0.0j
+    est = estimate_bloch_constant(f0)
+    if lam1 >= 1.0 or est.value <= est.accuracy:
         zero = AnalyticSeries([0.0])
-        return SupportDecomposition(lam1, c0 / lam1, HarmonicMapping(zero, zero))
-
-    if c0 == 0:
-        lam1, u, factor = 0.0, 1.0 + 0.0j, 1.0
-    else:
-        u, factor = c0 / lam1, 1.0 / (1.0 - lam1)
-    residual = HarmonicMapping(_with_zero_constant(f0.h, factor),
-                               _with_zero_constant(f0.g, factor))
-    lam = lambda_set(residual)
-    if not membership(residual).in_normalized_unit_ball:
-        return None
-    _refuse_flagged(lam)
-    if lam.classification is LevelSetShape.EMPTY:
-        return None
-    return SupportDecomposition(float(lam1), complex(u), residual)
+        return SupportDecomposition(lam1, u, HarmonicMapping(zero, zero))
+    f = _peel_constant(f0, lam1)
+    return None if _member_level_set(f) is None else SupportDecomposition(lam1, u, f)

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from blochmap import AnalyticSeries, HarmonicMapping, load_mapping, save_mapping
+from blochmap import (AnalyticSeries, HarmonicMapping, counterexample_family, load_mapping,
+                      mu_grid_rows, save_mapping)
 from blochmap import cli
 from blochmap.cli import main
 from blochmap.support import FalsifierOutcome, FalsifierStatus
@@ -212,6 +213,17 @@ def test_weights_beyond_a_declared_tail_are_an_error(capsys, tmp_path, command):
     assert json.loads(out)["value"] == [0.9, 0.0]
 
 
+@pytest.mark.parametrize("command", ["certify-support", "extreme-check"])
+def test_a_mapping_outside_the_ball_fails_membership(capsys, tmp_path, command):
+    # mu of 2z peaks at 2; its level set is flagged as well, but membership
+    # is checked first
+    path = write_mapping(tmp_path, "double.json", [0.0, 2.0], [0.0])
+    code, out, err = run_cli(capsys, command, "--mapping", path)
+    assert (code, out) == (1, "")
+    assert len(err.strip().splitlines()) == 1
+    assert "membership" in err
+
+
 def test_certify_support_family(capsys):
     code, out, _ = run_cli(capsys, "certify-support", "--family-a", "1.0",
                            "--samples", "300", "--seed", "3")
@@ -308,6 +320,18 @@ def test_decompose_command(capsys, tmp_path):
     assert payload["u"] == [1.0, 0.0]
 
 
+def test_decompose_keeps_a_small_non_constant_part(capsys, tmp_path):
+    # (1 - 5e-7) + 5e-7 z lies on the sphere and splits as (1 - 5e-7) * 1 + 5e-7 z
+    path = tmp_path / "f0.json"
+    path.write_text('{"h": [[0.9999995, 0], [5e-7, 0]], "g": [[0, 0]]}')
+    code, out, _ = run_cli(capsys, "decompose", "--mapping", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["status"] == "DECOMPOSED"
+    assert payload["lambda1"] == 0.9999995
+    assert np.abs(np.subtract(payload["f"]["h"][1], [1.0, 0.0])).max() <= 1e-9
+
+
 def test_output_file_option(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "beta", "--family-a", "1.0", "--out", str(out_path))
@@ -325,6 +349,17 @@ def test_output_file_holds_the_printed_bytes(capsys, tmp_path, command):
     out_path = tmp_path / "payload.out"
     assert run_cli(capsys, *command, "--out", str(out_path))[:2] == (code, "")
     assert out_path.read_bytes() == printed.encode("utf-8")
+
+
+def test_mu_grid_file_holds_each_value_in_17_significant_digits(capsys, tmp_path):
+    out_path = tmp_path / "grid.csv"
+    code, out, _ = run_cli(capsys, "mu-grid", "--family-a", "0.75", "--grid", "160x320",
+                           "--out", str(out_path))
+    assert (code, out) == (0, "")
+    rows = mu_grid_rows(counterexample_family(0.75), 160, 320)
+    text = "\n".join(["re,im,mu"] + [",".join(format(float(x), ".17g") for x in row)
+                                     for row in rows]) + "\n"
+    assert out_path.read_bytes() == text.encode()
 
 
 @pytest.mark.parametrize("command", [["beta", "--family-a", "1.0"],

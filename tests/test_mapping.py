@@ -13,6 +13,7 @@ from blochmap import (
     bloch_constant,
     bloch_norm,
     counterexample_family,
+    decompose_support_point,
     estimate_bloch_constant,
     lambda_set,
     little_bloch_status,
@@ -306,9 +307,15 @@ def test_screen_analyses_share_one_search(monkeypatch):
     assert len(calls) == 1
 
 
-def test_support_certificate_runs_one_search(monkeypatch):
+@pytest.mark.parametrize("analysis", [
+    lambda: support_certificate(fresh_identity(), 16, 0),
+    # 0.3i + 0.7z: the residual z reuses the estimate of f0, scaled
+    lambda: decompose_support_point(HarmonicMapping(AnalyticSeries([0.3j, 0.7]),
+                                                    AnalyticSeries([0.0]))),
+], ids=["support_certificate", "decompose_support_point"])
+def test_support_point_tests_run_one_search(monkeypatch, analysis):
     calls = count_searches(monkeypatch)
-    support_certificate(fresh_identity(), 16, 0)
+    assert analysis() is not None
     assert len(calls) == 1
 
 

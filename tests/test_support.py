@@ -438,6 +438,38 @@ def test_decompose_keeps_a_small_constant():
     assert np.array_equal(dec.f.g.coefficients, [0.0])
 
 
+# members of the normalized ball with a nonempty level set, for the third
+# result: f0 = lambda1*u + (1-lambda1)*f then supports the unit ball
+ROUND_TRIP_MEMBERS = {
+    "identity": lambda: IDENTITY,
+    "family-0.75": lambda: counterexample_family(0.75),
+    "sample-3-5": lambda: sample_unit_ball(3, 5),
+    "sample-11-8": lambda: sample_unit_ball(11, 8),
+}
+ROUND_TRIP_LAMBDAS = [0.0, 0.3, 0.9, 1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9]
+
+
+@pytest.mark.parametrize("lam1", ROUND_TRIP_LAMBDAS)
+@pytest.mark.parametrize("name", ROUND_TRIP_MEMBERS)
+def test_decompose_round_trips_the_third_result(name, lam1):
+    f = ROUND_TRIP_MEMBERS[name]()
+    rng = np.random.default_rng([list(ROUND_TRIP_MEMBERS).index(name),
+                                 ROUND_TRIP_LAMBDAS.index(lam1)])
+    u = np.exp(2j * np.pi * rng.uniform())
+    f0 = HarmonicMapping(AnalyticSeries(np.r_[lam1 * u, (1.0 - lam1) * f.h.coefficients[1:]]),
+                         AnalyticSeries((1.0 - lam1) * f.g.coefficients))
+    dec = decompose_support_point(f0)
+    assert dec is not None
+    c0 = f0.value_at_origin
+    assert dec.lambda1 == abs(c0)
+    assert dec.u == (c0 / dec.lambda1 if c0 else 1.0)
+    h = (1.0 - dec.lambda1) * dec.f.h.coefficients
+    h[0] += dec.lambda1 * dec.u
+    g = (1.0 - dec.lambda1) * dec.f.g.coefficients
+    assert np.abs(h - f0.h.coefficients).max() <= 1e-12
+    assert np.abs(g - f0.g.coefficients).max() <= 1e-12
+
+
 def test_decompose_rejects_oversized_norm():
     with pytest.raises(ValueError):
         decompose_support_point(scale_mapping(IDENTITY, 1.2))
