@@ -53,15 +53,6 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message)
 
 
-def _json_default(v):
-    # json.dumps hook: complex values as [re, im], numpy values as Python ones
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    if isinstance(v, (np.ndarray, np.generic)):
-        return v.tolist()
-    raise TypeError(f"cannot serialize {type(v).__name__}")
-
-
 # rows the CSV renderer lays out in numpy at a time; a block's temporaries
 # peak near 0.75 KB per row of three values, and 1024-row blocks leave the
 # process's peak resident memory where the row-wise renderer left it
@@ -158,11 +149,10 @@ def _format_block(values: np.ndarray) -> bytes:
     return slots.tobytes().translate(None, b"\0")
 
 
-def _render_csv(payload: dict) -> str:
-    rows = np.asarray(payload["rows"], dtype=float)
+def _render_csv(rows: np.ndarray) -> str:
     # each block's lines start with their newline, so the header and the
     # blocks join without a trailing newline to cut off
-    parts = [",".join(payload["header"])]
+    parts = ["re,im,mu"]
     for start in range(0, len(rows), CSV_BLOCK_ROWS):
         parts.append(_format_block(rows[start:start + CSV_BLOCK_ROWS]).decode("ascii"))
     return "".join(parts)
@@ -170,7 +160,7 @@ def _render_csv(payload: dict) -> str:
 
 def _render(payload: dict) -> str:
     try:
-        return json.dumps(payload, indent=2, allow_nan=False, default=_json_default)
+        return json.dumps(payload, indent=2, allow_nan=False)
     except ValueError as exc:
         raise ValueError("payload contains a non-finite number") from exc
 
@@ -232,7 +222,10 @@ def _cmd_beta(args):
 
 def _cmd_mu_grid(args):
     rows = mu_grid_rows(_input_mapping(args), **args.grid)
-    return _render_csv({"header": ["re", "im", "mu"], "rows": rows}), None
+    # refused as _render refuses a JSON payload; _render_csv would write it
+    if not np.isfinite(rows).all():
+        raise ValueError("payload contains a non-finite number")
+    return _render_csv(rows), None
 
 
 def _cmd_lambda(args):

@@ -223,6 +223,11 @@ def _pseudo_distance(z, w) -> np.ndarray:
     return np.abs((z - w) / (1.0 - np.conj(z) * w))
 
 
+# the grid whose mu maxima anchor metric_beta_estimate's sample pairs
+_ANCHOR_GRID = polar_grid(48, 96, 1.0 - 1e-6)
+_ANCHOR_GRID.setflags(write=False)
+
+
 def metric_beta_estimate(f: HarmonicMapping, samples: int, seed: int = 0) -> float:
     """Sampled supremum of |f(z) - f(w)| / rho(z, w); a lower bound for the
     Bloch constant.
@@ -246,8 +251,7 @@ def metric_beta_estimate(f: HarmonicMapping, samples: int, seed: int = 0) -> flo
 
     n_dirs = 16
     n_anchor = max(1, samples // 2 // n_dirs)
-    grid = polar_grid(48, 96, 1.0 - 1e-6)
-    anchors = grid[np.argsort(_mu_values(f)(grid))[::-1][:n_anchor]]
+    anchors = _ANCHOR_GRID[np.argsort(_mu_values(f)(_ANCHOR_GRID))[::-1][:n_anchor]]
     # directions modulo sign; the quotient is symmetric in the pair
     phis = np.pi * np.arange(n_dirs) / n_dirs
     z = np.repeat(anchors, n_dirs)
@@ -457,9 +461,7 @@ def sup_modulus(f: HarmonicMapping):
 
 def mu_grid_rows(f: HarmonicMapping, n_radii=DISK_GRID[0], n_angles=DISK_GRID[1]) -> np.ndarray:
     """Rows (re, im, mu) over the standard polar grid, for CSV dumps."""
-    # a dump's grid has a caller-chosen size and is used once: keep it out of
-    # the grid cache, which would hold it for the life of the process
-    grid = polar_grid.__wrapped__(n_radii, n_angles)
+    grid = polar_grid(n_radii, n_angles)
     vals = _mu_values(f)(grid)
     return np.column_stack([grid.real, grid.imag, vals])
 

@@ -9,7 +9,6 @@ combine by max-reduction.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,18 +37,17 @@ _OFFSETS = np.array([1.0, -1.0, 1j, -1j])
 _BLOCK_STARTS = 4 * np.arange(6)[:, None]
 
 
-@functools.lru_cache(maxsize=32)
-def polar_grid(n_radii=DISK_GRID[0], n_angles=DISK_GRID[1], r_max=DISK_RADIUS_CAP) -> np.ndarray:
-    """The origin plus n_radii rings of n_angles points each.
-
-    Grids are cached, so the array is read-only; copy it to modify it.
-    """
+def polar_grid(n_radii, n_angles, r_max=DISK_RADIUS_CAP) -> np.ndarray:
+    """The origin plus n_radii rings of n_angles points each, as a fresh array."""
     radii = np.linspace(0.0, r_max, n_radii + 1)[1:]
     angles = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
     rings = radii[:, None] * np.exp(1j * angles)[None, :]
-    grid = np.concatenate(([0.0 + 0.0j], rings.ravel()))
-    grid.setflags(write=False)
-    return grid
+    return np.concatenate(([0.0 + 0.0j], rings.ravel()))
+
+
+# the DISK_GRID points, shared by every search and so read-only
+_DISK_POINTS = polar_grid(*DISK_GRID)
+_DISK_POINTS.setflags(write=False)
 
 
 def compass_maximize(evaluate, starts, initial_step, *, step_tol=1e-10,
@@ -225,9 +223,8 @@ def _level_walks(values, level):
     """The level walkers of ``maximize_on_disk(values, level)`` without its
     maximum search, for an objective whose maximum is already known; returns
     their converged (points, values)."""
-    grid = polar_grid(*DISK_GRID)
-    gv = values(grid)
-    starts = grid[_level_seeds(gv, np.argsort(gv)[::-1], level)]
+    gv = values(_DISK_POINTS)
+    starts = _DISK_POINTS[_level_seeds(gv, np.argsort(gv)[::-1], level)]
     return compass_maximize(lambda z, _w: values(z), starts, GRID_STEP)
 
 
@@ -244,13 +241,12 @@ def maximize_on_disk(values, level=None):
     its start and on pointwise values, so both results are those of two
     separate runs, bit for bit, from one grid evaluation and one sort.
     """
-    grid = polar_grid(*DISK_GRID)
-    gv = values(grid)
+    gv = values(_DISK_POINTS)
     order = np.argsort(gv)[::-1]
-    seeds = _spread_top_indices(grid, order, N_STARTS, GRID_STEP)
-    starts = grid[seeds]
+    seeds = _spread_top_indices(_DISK_POINTS, order, N_STARTS, GRID_STEP)
+    starts = _DISK_POINTS[seeds]
     if level is not None:
-        starts = np.concatenate((starts, grid[_level_seeds(gv, order, level)]))
+        starts = np.concatenate((starts, _DISK_POINTS[_level_seeds(gv, order, level)]))
 
     def ev(z, _walkers):
         return values(z)
@@ -259,7 +255,7 @@ def maximize_on_disk(values, level=None):
     k = int(np.argmax(vals[:seeds.size]))
     best_z = complex(pts[k])
     best_v = float(vals[k])
-    probes = best_z + 1e-6 * np.array([1.0, -1.0, 1j, -1j])
+    probes = best_z + 1e-6 * _OFFSETS
     # the compass keeps best_z within the cap, so the probe stepped toward
     # the origin always survives this filter
     probes = probes[np.abs(probes) <= DISK_RADIUS_CAP]

@@ -339,6 +339,11 @@ def _trimmed_side(d: np.ndarray):
     return values
 
 
+# the coarse grid whose mu argmax seeds one walk per row of _batch_ratio_max
+_COARSE_GRID = polar_grid(12, 24)
+_COARSE_GRID.setflags(write=False)
+
+
 def _batch_ratio_max(h_rows: np.ndarray, g_rows: np.ndarray, z0: complex,
                      rng: np.random.Generator, lvals: np.ndarray, n_aligned: int) -> float:
     """Largest functional-to-Bloch-constant ratio ``lvals / beta`` over the
@@ -388,16 +393,15 @@ def _batch_ratio_max(h_rows: np.ndarray, g_rows: np.ndarray, z0: complex,
     def mu_rows(z, rows):
         return _disk_weight(z) * (abs_h(z, rows) + abs_g(z, rows))
 
-    grid = polar_grid(12, 24)
-    vander = grid[:, None] ** np.arange(k - 1)[None, :]
+    vander = _COARSE_GRID[:, None] ** np.arange(k - 1)[None, :]
 
     def grid_argmax(rows):
         # not _disk_weight: its rounding moved sample_max_other on 3 of 111
         # certify reference records
-        mu_grid = (1.0 - np.abs(grid) ** 2)[None, :] * (
+        mu_grid = (1.0 - np.abs(_COARSE_GRID) ** 2)[None, :] * (
             np.abs(np.einsum("nk,gk->ng", dh[rows], vander))
             + np.abs(np.einsum("nk,gk->ng", dg[rows], vander)))
-        return grid[np.argmax(mu_grid, axis=1)]
+        return _COARSE_GRID[np.argmax(mu_grid, axis=1)]
 
     def ratios(rows, best):
         # twin[i]: the first position in rows holding the bytes of rows[i]
@@ -652,8 +656,7 @@ def _monomial_modulus_peak(k0: int) -> float:
 def _inner_disk_gap(f: HarmonicMapping, radius: float) -> float:
     """Half the smallest gap of 1/(1-|z|^2) - (|h|+|g|) on the disk |z| <= radius,
     floored at zero; the declared tails count against the gap."""
-    # the radius differs from call to call, so the grid stays out of the cache
-    grid = polar_grid.__wrapped__(48, 96, r_max=radius)
+    grid = polar_grid(48, 96, r_max=radius)
     # not _disk_weight: test_inner_disk_gap_matches_inline_form pins these bits
     inv = 1.0 / (1.0 - np.abs(grid) ** 2)
     moduli = _abs_sum(f.h.coefficients, f.g.coefficients, grid) + _tail_allowance(f)

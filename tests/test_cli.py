@@ -555,35 +555,6 @@ def test_error_bad_family_parameter(capsys):
     assert "0 < a < 2" in err
 
 
-def test_json_hook_serializes_numpy_and_complex_values():
-    payload = {
-        "flag": np.bool_(True),
-        "count": np.int64(7),
-        "z": 0.25 - 1.5j,
-        "nz": np.complex128(complex(-0.0, 2.0)),
-        "arr": np.array([1.0 + 0.5j, -3.0j]),
-        "real_arr": np.array([0.1, np.float32(0.5)]),
-        "pair": (1, 2.5),
-        "nested": [np.float64(1.0 / 3.0), (np.int32(-2), None, "s")],
-    }
-    text = cli._render(payload)
-    back = json.loads(text)
-    assert back == {
-        "flag": True,
-        "count": 7,
-        "z": [0.25, -1.5],
-        "nz": [-0.0, 2.0],
-        "arr": [[1.0, 0.5], [0.0, -3.0]],
-        "real_arr": [0.1, 0.5],
-        "pair": [1, 2.5],
-        "nested": [1.0 / 3.0, [-2, None, "s"]],
-    }
-    assert back["flag"] is True and type(back["count"]) is int
-    assert str(back["nz"][0]) == "-0.0"
-    with pytest.raises(TypeError):
-        cli._render({"x": object()})
-
-
 # the level tolerance is a constant, so a --tol of any value, here in the
 # --tol=VALUE spelling, fails at the parser before any analysis runs
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-6"])
@@ -703,6 +674,19 @@ def test_non_finite_payload_is_a_one_line_error(capsys, tmp_path):
     assert len(err.strip().splitlines()) == 1
     assert "non-finite" in err
 
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_non_finite_mu_grid_is_a_one_line_error(capsys, tmp_path):
+    # h' overflows near the rim: the row at z = 1 - 1e-9 holds mu = inf
+    path = write_mapping(tmp_path, "huge.json", [0.0, 1e308, 5e307], [0.0])
+    out_path = tmp_path / "grid.csv"
+    code, out, err = run_cli(capsys, "mu-grid", "--mapping", path, "--grid", "2x2",
+                             "--out", str(out_path))
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "non-finite" in err
+    assert not out_path.exists()
 
 def test_tailed_level_set_is_flagged_and_decides_nothing(capsys, tmp_path):
     # mu of 0.9995 z stays below the level, but a declared tail of 1e-3 could

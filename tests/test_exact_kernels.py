@@ -569,15 +569,11 @@ def test_inner_disk_gap_matches_inline_form(degree):
 
 # the CLI's per-float CSV renderer, kept as the reference for the numpy one
 
-def reference_render_csv(payload):
-    lines = [",".join(payload["header"])]
-    for row in payload["rows"]:
+def reference_render_csv(rows):
+    lines = ["re,im,mu"]
+    for row in rows:
         lines.append(",".join(format(float(x), ".17g") for x in row))
     return "\n".join(lines)
-
-
-def csv_payload(rows):
-    return {"header": ["re", "im", "mu"], "rows": rows}
 
 
 def test_csv_renderer_matches_per_float_form_on_mu_grids():
@@ -588,19 +584,19 @@ def test_csv_renderer_matches_per_float_form_on_mu_grids():
     for f in (poly60, FAMILY, IDENTITY):
         # a grid has 1 + r*t rows: around the renderer's 4096-row blocks
         for r, t in ((64, 128), (5, 7), (1, 4094), (1, 4095), (1, 4096)):
-            payload = csv_payload(mapping.mu_grid_rows(f, r, t))
-            assert cli._render_csv(payload) == reference_render_csv(payload)
+            rows = mapping.mu_grid_rows(f, r, t)
+            assert cli._render_csv(rows) == reference_render_csv(rows)
 
 
 def test_csv_renderer_matches_per_float_form_on_edge_values():
     edge = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
             0.1, float(2 ** 53 + 1), float("nan"), float("inf"), float("-inf"), 1.0, 1e16, 1e-5]
     rows = np.array([edge[i:i + 3] for i in range(len(edge) - 2)])
-    rendered = cli._render_csv(csv_payload(rows))
-    assert rendered == reference_render_csv(csv_payload(rows))
+    rendered = cli._render_csv(rows)
+    assert rendered == reference_render_csv(rows)
     assert "-0,0,4.9406564584124654e-324" in rendered
     assert "nan,inf,-inf" in rendered
-    assert cli._render_csv(csv_payload(np.zeros((0, 3)))) == "re,im,mu"
+    assert cli._render_csv(np.zeros((0, 3))) == "re,im,mu"
 
 
 def seventeen_digit_ties(rng, n):
@@ -637,8 +633,7 @@ def test_csv_renderer_matches_per_float_form_on_the_fast_path():
     values = np.concatenate([edges, -edges, [-0.0], drawn])
     assert len(values) >= 10 ** 5
     rows = values[:len(values) // 3 * 3].reshape(-1, 3)
-    payload = csv_payload(rows)
-    assert cli._render_csv(payload) == reference_render_csv(payload)
+    assert cli._render_csv(rows) == reference_render_csv(rows)
 
 
 def test_cli_sharpen_runs_one_dense_check(monkeypatch, capsys, tmp_path):
@@ -728,7 +723,7 @@ def test_punctured_samples_reject_non_finite_radius():
 
 # the compass search one iteration per call, today's distance-block linkage,
 # the diameter test without its lower bound, the copying Horner fill and the
-# uncached polar grid, kept as references
+# polar grid built inline, kept as references
 
 def raw_bits(a):
     # both parts of a complex array, so signed zeros and every last bit count
@@ -1067,26 +1062,32 @@ def reference_polar_grid(n_radii=64, n_angles=128, r_max=DISK_RADIUS_CAP):
     return np.concatenate(([0.0 + 0.0j], rings.ravel()))
 
 
-@pytest.mark.parametrize("args", [(), (64, 128), (12, 24), (48, 96, 1.0 - 1e-6),
+@pytest.mark.parametrize("args", [(64, 128), (12, 24), (48, 96, 1.0 - 1e-6),
                                   (48, 96, 0.3), (1, 1), (0, 4), (3, 5, 0.5)])
-def test_polar_grid_is_a_cached_read_only_fresh_build(args):
+def test_polar_grid_is_a_fresh_writable_build(args):
     grid = polar_grid(*args)
     assert same_raw_bits(grid, reference_polar_grid(*args))
-    assert not grid.flags.writeable
-    with pytest.raises(ValueError):
-        grid[0] = 1.0
-    with pytest.raises(ValueError):
-        grid *= 2.0
-    assert polar_grid(*args) is grid
-    assert same_raw_bits(polar_grid(*args), reference_polar_grid(*args))
+    again = polar_grid(*args)
+    assert again is not grid and not np.shares_memory(again, grid)
+    assert grid.flags.writeable and again.flags.writeable
+    grid *= 2.0
+    assert same_raw_bits(again, reference_polar_grid(*args))
 
 
-def test_one_off_grids_stay_out_of_the_cache():
-    # a dump's caller-chosen grid and the falsifier's mapping-dependent radius
-    polar_grid.cache_clear()
+@pytest.mark.parametrize("shared, args", [
+    (optimize._DISK_POINTS, optimize.DISK_GRID), (support._COARSE_GRID, (12, 24)),
+    (mapping._ANCHOR_GRID, (48, 96, 1.0 - 1e-6))], ids=["disk", "coarse", "anchor"])
+def test_shared_search_grids_are_read_only_fresh_builds(shared, args):
+    assert same_raw_bits(shared, reference_polar_grid(*args))
+    assert not shared.flags.writeable
+    with pytest.raises(ValueError):
+        shared[0] = 1.0
+    with pytest.raises(ValueError):
+        shared *= 2.0
+
+
+def test_mu_grid_rows_lay_out_a_fresh_polar_grid():
     rows = mapping.mu_grid_rows(FAMILY, 7, 13)
-    support._inner_disk_gap(FAMILY, 0.3)
-    assert polar_grid.cache_info().currsize == 0
     grid = reference_polar_grid(7, 13)
     assert same_raw_bits(rows[:, 0], grid.real) and same_raw_bits(rows[:, 1], grid.imag)
     assert same_raw_bits(rows[:, 2], reference_derivative_values(FAMILY)(grid))

@@ -423,6 +423,31 @@ def test_sup_modulus_matches_two_separate_runs(name):
     assert same_level_report(got, want)
 
 
+def test_level_seeds_keep_the_4096_best_when_more_sit_near_the_level():
+    # 6000 distinct grid values within 0.02 of the level, the 8 best far
+    # above it and 100 far below
+    rng = np.random.default_rng(24)
+    gv = np.concatenate([1.0 + 0.018 * np.linspace(-1.0, 1.0, 6000),
+                         2.0 + np.arange(8.0), np.full(100, -5.0)])
+    gv = gv[rng.permutation(gv.size)]
+    order = np.argsort(gv)[::-1]
+    seeds = optimize._level_seeds(gv, order, 1.0)
+    assert np.array_equal(seeds, order[:4096])
+    assert np.all(np.diff(gv[seeds]) < 0.0)
+
+
+def test_a_probe_that_beats_the_walkers_is_the_result(monkeypatch):
+    # walkers left at their grid starts: the origin is the best one, and the
+    # probe 1e-6 away lands on the maximum
+    def unwalked(evaluate, starts, initial_step, **kwargs):
+        z = np.array(starts, dtype=complex)
+        return z, evaluate(z, None)
+
+    monkeypatch.setattr(optimize, "compass_maximize", unwalked)
+    res = optimize.maximize_on_disk(lambda z: -np.abs(z - 1e-6))
+    assert res.argmax == 1e-6 and res.value == 0.0 and res.accuracy == 1e-6
+
+
 def property_mapping(seed, max_degree=30):
     # a random polynomial mapping of degree 2 to max_degree and a rotation angle
     rng = np.random.default_rng([seed, 8])

@@ -27,6 +27,7 @@ from blochmap import (
     verify_bonk_constants,
 )
 from blochmap import support
+from blochmap.optimize import MaximizationResult
 from blochmap.series import differentiate, eval_series
 
 IDENTITY = HarmonicMapping(AnalyticSeries([0.0, 1.0]), AnalyticSeries([0.0]))
@@ -646,3 +647,20 @@ def test_falsifier_reads_a_modulus_short_of_one_as_an_empty_level_set():
     out = perturbation_falsifier(LinearFunctional([0.0, 1.0], [0.0]), f)
     assert out.status is FalsifierStatus.IMPROVED
     assert out.improvement > 0.0 and out.modulus_after <= 1.0 + 1e-12
+
+
+def test_falsifier_gives_up_after_40_halvings(monkeypatch):
+    # every perturbed mapping reads a modulus above one, so no eps verifies;
+    # the unperturbed modulus still comes from the real search
+    searches = []
+
+    def too_large(values):
+        searches.append(values)
+        return MaximizationResult(1.5, 1e-12, 0j)
+
+    monkeypatch.setattr(support, "maximize_on_disk", too_large)
+    f = scale_mapping(IDENTITY, 0.5)
+    out = perturbation_falsifier(LinearFunctional([0.0, 1.0], [0.0]), f)
+    assert out.status is FalsifierStatus.CONSTRUCTION_FAILED
+    assert out.modulus_before == support.sup_modulus(f)[0] < 1.0
+    assert len(searches) == 40 and out.f_tilde is None
