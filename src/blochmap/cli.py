@@ -390,7 +390,10 @@ def main(argv=None) -> int:
     the payload has rendered."""
     try:
         args = _build_parser().parse_args(argv)
-        output, flag = args.handler(args)
+        # an overflow on finite input raises here instead of printing numpy's
+        # warning lines ahead of the one-line error
+        with np.errstate(over="raise"):
+            output, flag = args.handler(args)
         text = output if isinstance(output, str) else _render(output)
         if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -399,6 +402,9 @@ def main(argv=None) -> int:
                 fh.write("\n")
     except (_ArgumentError, ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(str(exc) or "unspecified error", file=sys.stderr)
+        return 1
+    except FloatingPointError as exc:
+        print(f"the computation reached a non-finite number ({exc})", file=sys.stderr)
         return 1
     if flag is not None:
         print(flag, file=sys.stderr)

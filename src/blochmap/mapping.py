@@ -78,7 +78,7 @@ class HarmonicMapping:
     @functools.cached_property
     def _estimate(self) -> MaximizationResult:
         # the memo of estimate_bloch_constant, held in the instance dict;
-        # lambda_set or _peel_constant may fill it first
+        # lambda_set or scale_mapping may fill it first
         return _with_tail_accuracy(self, maximize_on_disk(_mu_values(self)))
 
 
@@ -96,8 +96,23 @@ def _scale_parts(f: HarmonicMapping, ch, cg) -> HarmonicMapping:
 
 
 def scale_mapping(f: HarmonicMapping, factor) -> HarmonicMapping:
-    """Scale both parts; a real factor scales mu_f by |factor|."""
-    return _scale_parts(f, complex(factor), complex(factor))
+    """Scale both parts by one complex factor, carrying f's Bloch estimate.
+
+    mu of the result is mu_f times |factor| up to rounding, so when f's
+    estimate is memoized and the factor is nonzero, that estimate with value
+    and accuracy scaled by |factor| fills the result's memo: ``membership``,
+    ``bloch_norm`` and ``lambda_set`` on ``f / beta_f`` then run no search.
+    The result's β thus depends on whether f was searched first, within the
+    reported accuracy.  Scaling never starts a search; an f not yet
+    estimated leaves the result to its own.  A zero factor carries nothing,
+    since an unbounded tail's accuracy times zero would be NaN.
+    """
+    factor = complex(factor)
+    out = _scale_parts(f, factor, factor)
+    if factor and "_estimate" in vars(f):
+        est, s = f._estimate, abs(factor)
+        vars(out)["_estimate"] = MaximizationResult(est.value * s, est.accuracy * s, est.argmax)
+    return out
 
 
 def _abs_sum(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -160,9 +175,16 @@ def estimate_bloch_constant(f: HarmonicMapping) -> MaximizationResult:
 
     The result is memoized on the mapping, so every analysis of one mapping
     object reads one β.  The coefficient arrays are read-only and the search
-    deterministic, so a hit returns what a search would (a ``_peel_constant``
-    residual holds its parent's estimate, scaled), and two threads racing on
-    a first call store equal values.  The memo lives and dies with its mapping.
+    deterministic, so a hit returns what a search would, and two threads
+    racing on a first call store equal values.  The memo lives and dies with
+    its mapping.
+
+    A mapping built by ``scale_mapping`` from an already estimated f, such as
+    ``f / beta_f``, ``sample_unit_ball``'s output or ``decompose``'s residual,
+    inherits f's estimate scaled by |factor| instead of searching.  Its value
+    then depends on whether f was searched first, within the reported
+    accuracy: a fresh search of the scaled mapping may land elsewhere in that
+    interval.
     """
     return f._estimate
 
@@ -170,17 +192,14 @@ def estimate_bloch_constant(f: HarmonicMapping) -> MaximizationResult:
 def _peel_constant(f: HarmonicMapping, lam1: float) -> HarmonicMapping:
     """(f - f(0)) / (1 - lam1) for lam1 < 1, carrying f's Bloch estimate.
 
-    mu of the result is mu_f times 1/(1 - lam1) exactly, so f's estimate
-    with value and accuracy scaled by that factor fills the result's memo:
-    its level set then walks its level seeds without a search of its own.
+    Dropping h(0) leaves mu_f bit for bit, so the constant-free part holds
+    f's estimate unchanged and ``scale_mapping`` scales it by 1/(1 - lam1):
+    the result's level set then walks its level seeds without a search.
     """
-    factor = 1.0 / (1.0 - lam1)
-    out = HarmonicMapping(*(AnalyticSeries(np.r_[0.0, s.coefficients[1:]] * factor,
-                                           s.tail_bound * factor) for s in (f.h, f.g)))
-    est = f._estimate
-    vars(out)["_estimate"] = MaximizationResult(est.value * factor, est.accuracy * factor,
-                                                est.argmax)
-    return out
+    free = HarmonicMapping(AnalyticSeries(np.r_[0.0, f.h.coefficients[1:]], f.h.tail_bound),
+                           f.g)
+    vars(free)["_estimate"] = f._estimate
+    return scale_mapping(free, 1.0 / (1.0 - lam1))
 
 
 def bloch_constant(f: HarmonicMapping) -> float:

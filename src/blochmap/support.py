@@ -594,7 +594,8 @@ def support_certificate(f: HarmonicMapping, samples: int = 10000, seed: int = 0)
 
 def sample_unit_ball(seed: int, degree: int = 5) -> HarmonicMapping:
     """Random polynomial mapping with h(0) = g(0) = 0 rescaled to Bloch norm
-    one (up to optimizer accuracy); deterministic per seed."""
+    one (up to optimizer accuracy); deterministic per seed.  The result holds
+    the rescaling search's β, scaled, so analysing it runs no second search."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
     rng = np.random.default_rng(seed)

@@ -664,7 +664,6 @@ def test_bad_seed_fails_before_any_analysis(capsys, monkeypatch, argv, seed):
     assert "--seed" in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_non_finite_payload_is_a_one_line_error(capsys, tmp_path):
     mpath = write_mapping(tmp_path, "huge.json", [0.0, 1e308], [0.0])
     fpath = write_functional(tmp_path, "L.json", [[0.0, 0.0], [1e308, 0.0]], [[0.0, 0.0]])
@@ -675,9 +674,19 @@ def test_non_finite_payload_is_a_one_line_error(capsys, tmp_path):
     assert "non-finite" in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflow_on_finite_input_is_a_one_line_error(capsys, tmp_path):
+    # h(z) overflows at |z| near one although every coefficient is finite;
+    # the overflow raises instead of warning, so no warning line comes first
+    path = write_mapping(tmp_path, "huge.json", [0.0, 1e308, 5e307], [0.0])
+    code, out, err = run_cli(capsys, "beta", "--mapping", path)
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "non-finite" in err
+
+
 def test_non_finite_mu_grid_is_a_one_line_error(capsys, tmp_path):
-    # h' overflows near the rim: the row at z = 1 - 1e-9 holds mu = inf
+    # h' overflows near the rim, at the row z = 1 - 1e-9
     path = write_mapping(tmp_path, "huge.json", [0.0, 1e308, 5e307], [0.0])
     out_path = tmp_path / "grid.csv"
     code, out, err = run_cli(capsys, "mu-grid", "--mapping", path, "--grid", "2x2",

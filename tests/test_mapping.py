@@ -319,6 +319,86 @@ def test_support_point_tests_run_one_search(monkeypatch, analysis):
     assert len(calls) == 1
 
 
+def normalized_screen(f):
+    # the screen of a normalized mapping: beta, then membership and the
+    # extreme-point screen of f / beta
+    p = scale_mapping(f, 1.0 / estimate_bloch_constant(f).value)
+    membership(p)
+    return extreme_necessity(p)
+
+
+@pytest.mark.parametrize("analysis", [
+    lambda: normalized_screen(random_centered_mapping(np.random.default_rng(4), 6)),
+    lambda: membership(sample_unit_ball(7)),
+], ids=["normalized_screen", "sample_unit_ball"])
+def test_normalized_mappings_inherit_one_search(monkeypatch, analysis):
+    calls = count_searches(monkeypatch)
+    analysis()
+    assert len(calls) == 1
+
+
+def test_scaling_starts_no_search_and_carries_only_a_search_made(monkeypatch):
+    calls = count_searches(monkeypatch)
+    f = fresh_identity()
+    assert "_estimate" not in vars(scale_mapping(f, 0.5))
+    assert calls == []
+    est = estimate_bloch_constant(f)
+    carried = vars(scale_mapping(f, -2.0j))["_estimate"]
+    assert (carried.value, carried.accuracy, carried.argmax) == (
+        2.0 * est.value, 2.0 * est.accuracy, est.argmax)
+    # mappings whose mu is not mu_f times one factor keep to their own search
+    assert "_estimate" not in vars(add_mappings(f, f))
+    assert "_estimate" not in vars(mapping._scale_parts(f, 1.0, 0.5j))
+    assert len(calls) == 1
+
+
+def random_centered_mapping(rng, degree):
+    f = random_mapping(rng, degree)  # default_rng passes a Generator through
+    return HarmonicMapping(AnalyticSeries(np.r_[0.0, f.h.coefficients[1:]]), f.g)
+
+
+def screen_outcome(f):
+    # one level walk per mapping: extreme_necessity raises outside the
+    # normalized balls, where lambda_set alone runs
+    rep = membership(f)
+    if rep.in_normalized_unit_ball:
+        ext = extreme_necessity(f)
+        lam, verdict = ext.lambda_report, ext.verdict
+    else:
+        lam, verdict = lambda_set(f), None
+    sides = (rep.in_unit_ball, rep.in_normalized_unit_ball, rep.in_little_ball,
+             rep.in_normalized_little_ball, rep.marginal)
+    return sides, lam.classification, lam.points.size, lam.flagged, verdict
+
+
+def test_carried_estimate_agrees_with_a_fresh_search():
+    rng = np.random.default_rng(2025)
+    for _ in range(20):
+        # beta spread over [0.6, 1.8], so the factors reach inside, onto and
+        # outside the unit ball; f itself holds its own search
+        raw = random_centered_mapping(rng, int(rng.integers(2, 61)))
+        spread = scale_mapping(raw, rng.uniform(0.6, 1.8) / bloch_constant(raw))
+        f = HarmonicMapping(spread.h, spread.g)
+        beta = estimate_bloch_constant(f).value
+        theta = float(rng.uniform(0.0, 2.0 * np.pi))
+        for factor in (1.0 / beta, 0.5, 3.0, 0.7 * np.exp(1j * theta)):
+            carried = scale_mapping(f, factor)
+            fresh = HarmonicMapping(carried.h, carried.g)
+            assert "_estimate" in vars(carried) and "_estimate" not in vars(fresh)
+            est = estimate_bloch_constant(carried)
+            assert abs(est.value - estimate_bloch_constant(fresh).value) <= est.accuracy
+            assert screen_outcome(carried) == screen_outcome(fresh)
+
+
+def test_zero_factor_of_an_unbounded_tail_carries_no_nan():
+    f = HarmonicMapping(AnalyticSeries([0.0, 0.5, 0.2], np.inf), AnalyticSeries([0.0]))
+    assert estimate_bloch_constant(f).accuracy == np.inf
+    assert estimate_bloch_constant(scale_mapping(f, 2.0)).accuracy == np.inf
+    est = estimate_bloch_constant(scale_mapping(f, 0.0))
+    assert est.value == 0.0
+    assert not np.isnan(est.accuracy)
+
+
 def count_compass_runs(monkeypatch):
     # the size of each compass run's start array, over every namespace the
     # Bloch and level-set searches call it through
