@@ -107,13 +107,19 @@ def _composition_tail(coeffs: np.ndarray, c_abs: float, order: int) -> float:
 
 
 def precompose(f, phi: MobiusAutomorphism, order: int):
-    """Truncated series of f o phi, renormalized so the co-analytic part kills 0.
+    """f o phi: its truncated series, renormalized so the co-analytic part
+    kills 0, and an exact mu.
 
-    The composed constant of the co-analytic part is moved (conjugated) into
-    the analytic part, which leaves the mapping and its derivatives unchanged.
-    `order` controls the truncation of the composition; the caller picks it
-    for the accuracy needed, since |phi| expansions decay like |center|^k.
-    The dropped tail of each part is bounded and declared on the result.
+    mu of the result is mu_f(phi(z)), evaluated exactly at f's degree:
+    the result carries ``(f, phi)``, and ``mapping._mu_values`` reads it, so
+    the Bloch constant, the level set and ``mu`` itself see no truncation.
+    `order` sets only the coefficient series and its declared tail, which
+    coefficient consumers, ``f(z)``, ``sup_modulus`` and the accuracy that
+    ``estimate_bloch_constant`` reports still read; the caller picks it for
+    the accuracy needed, since |phi| expansions decay like |center|^k.  The
+    composed constant of the co-analytic part is moved (conjugated) into the
+    analytic part, which leaves the mapping and its derivatives unchanged,
+    though not the modulus |h| + |g|.
     """
     order = int(order)
     if order < 1:
@@ -127,7 +133,9 @@ def precompose(f, phi: MobiusAutomorphism, order: int):
     def out_tail(s):
         return _composition_tail(s.coefficients, abs(phi.center), order) if s.is_exact else np.inf
 
-    return HarmonicMapping(
+    out = HarmonicMapping(
         AnalyticSeries(h_new, out_tail(f.h)),
         AnalyticSeries(g_new, out_tail(f.g)),
     )
+    vars(out)["_composition"] = (f, phi)
+    return out

@@ -140,8 +140,31 @@ def _derivative_coefficients(f: HarmonicMapping):
 
 
 def _mu_values(f: HarmonicMapping):
-    """mu_f as a vectorized objective."""
-    return _weighted_abs_sum(*_derivative_coefficients(f))
+    """mu_f as a vectorized objective.
+
+    A composition f = p o phi built by ``disk.precompose`` carries
+    ``(p, phi)`` as ``_composition`` and evaluates mu_p(phi(z)), which is
+    mu_f exactly (mu is invariant under disk automorphisms), at p's degree
+    and without truncation; nested compositions recurse.  Off the open disk
+    it reads -inf without evaluating, since phi has its pole at
+    1/conj(center) and the compass masks those points anyway.
+    """
+    link = vars(f).get("_composition")
+    if link is None:
+        return _weighted_abs_sum(*_derivative_coefficients(f))
+    parent, phi = link
+    outer = _mu_values(parent)
+    c, rot = phi.center, np.exp(1j * phi.rotation)
+
+    def values(z):
+        z = np.asarray(z, dtype=complex)
+        out = np.full(z.shape, -np.inf)
+        inside = _disk_weight(z) > 0.0
+        w = z[inside]
+        out[inside] = outer(rot * (w - c) / (1.0 - np.conj(c) * w))
+        return out
+
+    return values
 
 
 def _evaluate_many(f: HarmonicMapping, z: np.ndarray) -> np.ndarray:
@@ -171,7 +194,9 @@ def estimate_bloch_constant(f: HarmonicMapping) -> MaximizationResult:
     A fixed polar grid seeds deterministic compass ascents and the best value
     wins.  Declared coefficient tail bounds are folded into the reported
     accuracy as-is (they are declared bounds, not derivative bounds; exact
-    polynomials contribute nothing).
+    polynomials contribute nothing).  A composition from ``disk.precompose``
+    is searched on its exact mu, yet its accuracy still counts the declared
+    tails of its truncated series.
 
     The result is memoized on the mapping, so every analysis of one mapping
     object reads one β.  The coefficient arrays are read-only and the search
@@ -217,8 +242,13 @@ def little_bloch_status(f: HarmonicMapping) -> Ternary:
     Polynomial parts always satisfy this, so exact mappings return TRUE.  A
     declared nonzero coefficient tail bound controls the function but not its
     derivative, which leaves the radial limit of mu_f undecided; no input of
-    this form can be certified FALSE either.
+    this form can be certified FALSE either.  A composition p o phi from
+    ``disk.precompose`` returns p's status: mu_{p o phi} = mu_p o phi, and
+    phi maps the boundary onto itself.
     """
+    link = vars(f).get("_composition")
+    if link is not None:
+        return little_bloch_status(link[0])
     if f.h.is_exact and f.g.is_exact:
         return Ternary.TRUE
     return Ternary.UNDECIDED

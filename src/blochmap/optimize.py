@@ -54,9 +54,10 @@ def compass_maximize(evaluate, starts, initial_step, *, step_tol=1e-10,
                      max_iter=3000, walkers=None):
     """Lockstep compass ascent from every start; returns (points, values).
 
-    ``evaluate(z, walkers)`` takes a complex array and, when ``walkers`` is
-    given, an equally shaped integer array routing each entry to its own
-    objective (used to refine many mappings in one sweep).  Each iteration
+    ``initial_step`` is one first step for every start or an array of one
+    per start.  ``evaluate(z, walkers)`` takes a complex array and, when
+    ``walkers`` is given, an equally shaped integer array routing each entry
+    to its own objective (used to refine many mappings in one sweep).  Each iteration
     moves a walker to the best of its four compass candidates when that
     beats its value and halves its step otherwise.  A walker whose step has
     shrunk below ``step_tol`` is frozen; every walker stops after
@@ -76,8 +77,10 @@ def compass_maximize(evaluate, starts, initial_step, *, step_tol=1e-10,
     evaluation: ``mapping._weighted_abs_sum``, which ``maximize_on_disk``
     (with its level walkers, for ``lambda_set`` and ``sup_modulus``), the
     level walkers alone of ``_level_walks`` and the touching-point
-    refinement of ``support_certificate`` maximize, and the routed
-    ``mu_rows`` of ``support._batch_ratio_max``.
+    refinement of ``support_certificate`` maximize; the composed mu of
+    ``mapping._mu_values``, the parent's kernel at phi(z) elementwise, which
+    reads ``-inf`` off the open disk; and the routed ``mu_rows`` of
+    ``support._batch_ratio_max``.
 
     With more walkers active, one call carries one iteration.  A walker
     moves when the largest value among its candidates beats its own; a NaN
@@ -91,7 +94,7 @@ def compass_maximize(evaluate, starts, initial_step, *, step_tol=1e-10,
     z = np.array(starts, dtype=complex)
     walkers = None if walkers is None else np.asarray(walkers)
     v = evaluate(z, walkers)
-    step = np.full(z.size, float(initial_step))
+    step = np.broadcast_to(np.asarray(initial_step, dtype=float), z.shape).copy()
     # the active walkers, compacted; each is written back before it is dropped
     idx = np.flatnonzero(step > step_tol)
     za, va, sa = z[idx], v[idx], step[idx]
@@ -233,25 +236,32 @@ def maximize_on_disk(values, level=None):
 
     The ``DISK_GRID`` polar grid is evaluated and sorted once, and
     ``N_STARTS`` well-spread grid maxima seed compass ascents; the best
-    converged value, checked by four probes 1e-6 away, is the result.
+    converged value, checked by four probes 1e-6 away, is the result.  Each
+    ascent's first step is ``GRID_STEP * (1 - |z|^2)`` at its start z, one
+    hyperbolic length: near the rim a peak can be narrower than
+    ``GRID_STEP``, and a Euclidean first step there jumps past it.
 
-    With ``level``, the same compass run also starts a walker from each
-    seed of ``_level_seeds``, and ``(result, points, values)`` is returned
-    with those walkers' converged points and values.  A walk depends only on
-    its start and on pointwise values, so both results are those of two
-    separate runs, bit for bit, from one grid evaluation and one sort.
+    With ``level``, the same compass run also starts a walker with first
+    step ``GRID_STEP`` from each seed of ``_level_seeds``, and
+    ``(result, points, values)`` is returned with those walkers' converged
+    points and values.  A walk depends only on its start, its first step and
+    pointwise values, so both results are those of two separate runs, bit for
+    bit, from one grid evaluation and one sort.
     """
     gv = values(_DISK_POINTS)
     order = np.argsort(gv)[::-1]
     seeds = _spread_top_indices(_DISK_POINTS, order, N_STARTS, GRID_STEP)
     starts = _DISK_POINTS[seeds]
+    steps = GRID_STEP * (1.0 - np.abs(starts) ** 2)
     if level is not None:
-        starts = np.concatenate((starts, _DISK_POINTS[_level_seeds(gv, order, level)]))
+        level_starts = _DISK_POINTS[_level_seeds(gv, order, level)]
+        starts = np.concatenate((starts, level_starts))
+        steps = np.concatenate((steps, np.full(level_starts.size, GRID_STEP)))
 
     def ev(z, _walkers):
         return values(z)
 
-    pts, vals = compass_maximize(ev, starts, GRID_STEP)
+    pts, vals = compass_maximize(ev, starts, steps)
     k = int(np.argmax(vals[:seeds.size]))
     best_z = complex(pts[k])
     best_v = float(vals[k])

@@ -7,9 +7,15 @@ from blochmap import (
     MobiusAutomorphism,
     apply_automorphism,
     bloch_constant,
+    counterexample_family,
+    estimate_bloch_constant,
     hyperbolic_distance,
+    lambda_set,
+    mu,
+    mu_grid_rows,
     precompose,
 )
+from blochmap import mapping
 from blochmap.disk import _automorphism_series, _composition_tail
 
 
@@ -161,3 +167,70 @@ def test_precompose_rejects_tiny_order():
     f = HarmonicMapping(AnalyticSeries([0.0, 1.0]), AnalyticSeries([0.0]))
     with pytest.raises(ValueError):
         precompose(f, MobiusAutomorphism(0.2), 0)
+
+
+def random_mapping(rng, degree):
+    h = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+    g = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+    g[0] = 0.0
+    return HarmonicMapping(AnalyticSeries(h), AnalyticSeries(g))
+
+
+def random_automorphism(rng, c_max):
+    # centres drawn toward the rim, where the truncated series is worst
+    c = c_max * rng.uniform() ** 0.25 * np.exp(2j * np.pi * rng.uniform())
+    return MobiusAutomorphism(c, 2.0 * np.pi * rng.uniform())
+
+
+@pytest.mark.parametrize("order", [1, 5])
+@pytest.mark.parametrize("seed", range(8))
+def test_composed_mu_is_mu_at_phi(seed, order):
+    # mu_{f o phi} = mu_f o phi, evaluated exactly whatever the order, for
+    # one composition and for a composition of two
+    rng = np.random.default_rng([seed, 11])
+    f = random_mapping(rng, int(rng.integers(1, 61)))
+    phi, psi = random_automorphism(rng, 0.99), random_automorphism(rng, 0.99)
+    once = precompose(f, phi, order)
+    twice = precompose(once, psi, order)
+    z = 0.999 * np.sqrt(rng.random(20)) * np.exp(2j * np.pi * rng.random(20))
+    for p in z:
+        w = apply_automorphism(phi, p)
+        assert mu(once, p) == pytest.approx(mu(f, w), rel=1e-12)
+        w = apply_automorphism(phi, apply_automorphism(psi, p))
+        assert mu(twice, p) == pytest.approx(mu(f, w), rel=1e-12)
+
+
+def test_composed_mu_reads_minus_inf_only_off_the_disk():
+    # off the open disk, phi's pole at 1/conj(c) included, the composed mu
+    # reads -inf without evaluating; inside it, mu and the grid rows, whose
+    # outer ring lies at DISK_RADIUS_CAP, stay finite
+    comp = precompose(counterexample_family(0.75), MobiusAutomorphism(0.99, 0.0), 5)
+    with np.errstate(all="raise"):
+        off = mapping._mu_values(comp)(np.array([1.0 / 0.99, 1.0, 1.01j, -1.0 - 1e-15]))
+    assert (off == -np.inf).all()
+    assert np.isfinite(mu(comp, 1.0 - 1e-12))
+    assert np.isfinite(mu_grid_rows(comp, 8, 16)).all()
+
+
+@pytest.mark.parametrize("center", [0.9, 0.95, 0.99])
+def test_composed_family_keeps_unit_beta_at_low_order(center):
+    # f_0.75 has beta = 1; at order 10 the series of f_0.75 o phi is far from
+    # the composition, but its mu is exact
+    comp = precompose(counterexample_family(0.75), MobiusAutomorphism(center), 10)
+    assert abs(estimate_bloch_constant(comp).value - 1.0) <= 1e-9
+
+
+def test_composed_search_near_the_rim_raises_no_floating_point_error():
+    # a degree-60 parent composed at c = 0.99: the compass evaluates
+    # candidates past the circle, toward phi's pole at 1/conj(c).  Its beta
+    # is not asserted: this mapping's peak moves to the rim, beyond the reach
+    # of the search grid
+    rng = np.random.default_rng(60)
+    f = random_mapping(rng, 60)
+    phi = MobiusAutomorphism(0.99j, 0.4)
+    comp, fresh = precompose(f, phi, 40), precompose(f, phi, 40)
+    with np.errstate(all="raise"):
+        est = estimate_bloch_constant(comp)
+        rep = lambda_set(fresh)
+    assert np.isfinite(est.value) and est.value > 0.0
+    assert rep.flagged  # beta far above one

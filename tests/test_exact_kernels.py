@@ -22,9 +22,11 @@ import pytest
 from blochmap import (
     AnalyticSeries,
     HarmonicMapping,
+    MobiusAutomorphism,
     counterexample_family,
     eval_series,
     polyval_batch,
+    precompose,
     save_mapping,
     support_certificate,
 )
@@ -43,7 +45,7 @@ def reference_compass_maximize(evaluate, starts, initial_step, *, step_tol=1e-10
     z = np.array(starts, dtype=complex)
     walkers = None if walkers is None else np.asarray(walkers)
     v = evaluate(z, walkers)
-    step = np.full(z.size, float(initial_step))
+    step = np.broadcast_to(np.asarray(initial_step, dtype=float), z.shape).copy()
     offsets = np.array([1.0, -1.0, 1j, -1j])
     for _ in range(max_iter):
         act = np.flatnonzero(step > step_tol)
@@ -848,6 +850,33 @@ def test_compass_walker_frozen_by_first_halving():
     for max_iter in (1, 2, 3, 7):
         check_same_walk(peak, starts, 1.5e-10, step_tol=1e-10, max_iter=max_iter)
     check_same_walk(peak, starts, 1e-10, step_tol=1e-10)
+
+
+@pytest.mark.parametrize("n", [20, 200])
+def test_compass_takes_one_first_step_per_start(n):
+    # maximize_on_disk's beta walkers start with GRID_STEP (1 - |z|^2): each
+    # walk is the one its start takes alone with its own step
+    values = mapping._mu_values(FAMILY)
+    starts = disk_starts(n, 0.97, n)
+    steps = 0.05 * (1.0 - np.abs(starts) ** 2)
+    check_same_walk(values, starts, steps)
+    z, v = compass_maximize(lambda z, _w: values(z), starts, steps)
+    for k in range(0, n, 7):
+        zk, vk = compass_maximize(lambda z, _w: values(z), starts[k:k + 1], steps[k])
+        assert same_raw_bits(zk, z[k:k + 1]) and same_raw_bits(vk, v[k:k + 1])
+
+
+@pytest.mark.parametrize("inner", [0, 80])
+def test_compass_matches_on_composed_mu(inner):
+    # rim walkers' speculative candidates reach past the circle, toward phi's
+    # pole at 1/conj(c); the composed mu reads -inf there without evaluating,
+    # and 80 inner starts put the sweep on the one-iteration path
+    values = mapping._mu_values(precompose(FAMILY, MobiusAutomorphism(0.97j, 0.3), 10))
+    angles = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False) + 0.1
+    starts = np.r_[(DISK_RADIUS_CAP - 0.03) * np.exp(1j * angles), disk_starts(inner, 0.9, 4)]
+    with np.errstate(all="raise"):
+        for max_iter in (1, 3, 3000):
+            check_same_walk(values, starts, 0.05, max_iter=max_iter)
 
 
 def test_compass_routes_walkers_to_their_objectives():

@@ -67,6 +67,19 @@ def test_membership_tail_bound_is_undecided_for_little():
     assert rep.in_little_ball is Ternary.UNDECIDED
 
 
+def test_membership_composition_takes_its_parents_little_bloch_status():
+    # mu_{f o phi} = mu_f o phi and phi maps the circle onto itself, so a
+    # composition is little-Bloch exactly when its parent is, although its
+    # truncated series declares a tail
+    phi = MobiusAutomorphism(0.4 - 0.2j, 0.7)
+    exact = precompose(scale_mapping(IDENTITY, 0.5), phi, 20)
+    assert exact.h.tail_bound > 0.0
+    assert membership(exact).in_little_ball is Ternary.TRUE
+    assert membership(precompose(exact, MobiusAutomorphism(-0.3), 20)).in_little_ball is Ternary.TRUE
+    tailed = HarmonicMapping(AnalyticSeries([0.0, 0.5], tail_bound=0.1), AnalyticSeries([0.0]))
+    assert membership(precompose(tailed, phi, 20)).in_little_ball is Ternary.UNDECIDED
+
+
 def test_rotation_normalize_makes_derivatives_real():
     f = HarmonicMapping(
         AnalyticSeries([0.0, 1j, 0.5]),

@@ -568,8 +568,8 @@ def test_bloch_constant_lies_between_those_of_its_parts(seed):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_bloch_constant_invariant_under_disk_automorphisms(seed):
-    # beta(f o phi) = beta(f); precompose truncates f o phi at the given
-    # order and declares the dropped tail, which the estimate's accuracy holds
+    # beta(f o phi) = beta(f); precompose evaluates mu exactly as mu_f o phi,
+    # and the accuracy still counts the declared tail of its series
     f, theta = property_mapping(seed, max_degree=12)
     rng = np.random.default_rng([seed, 9])
     center = 0.5 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
@@ -578,6 +578,23 @@ def test_bloch_constant_invariant_under_disk_automorphisms(seed):
     est = estimate_bloch_constant(f)
     comp = estimate_bloch_constant(composed)
     assert abs(comp.value - est.value) <= est.accuracy + comp.accuracy
+
+
+def test_composed_beta_finds_a_peak_narrower_than_the_grid_step():
+    # a degree-30 map scaled to beta = 1 and composed at order 80, drawn as
+    # the screen benchmark draws its seed 1107, task 325.  The composed peak
+    # near |z| = 0.96 is narrower than GRID_STEP: a walker started beside it
+    # with that Euclidean first step jumped past it and read beta = 0.99878
+    # at a reported accuracy of 1e-9
+    rng = np.random.default_rng([1107, 325])
+    h = rng.standard_normal(31) + 1j * rng.standard_normal(31)
+    g = rng.standard_normal(31) + 1j * rng.standard_normal(31)
+    h[0] = g[0] = 0.0
+    f = HarmonicMapping(AnalyticSeries(h), AnalyticSeries(g))
+    center = 0.3 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+    phi = MobiusAutomorphism(center, 2.0 * np.pi * rng.uniform())
+    unit = scale_mapping(f, 1.0 / bloch_constant(f))
+    assert abs(bloch_constant(precompose(unit, phi, 80)) - 1.0) <= 1e-5
 
 
 def tailed_pair(seed):
