@@ -1,5 +1,6 @@
-"""Membership screens, coefficient conditions, the quadratic counterexample
-family, and sharpened weighted-derivative bounds near a unit-level point."""
+"""Membership screens, the quadratic counterexample family and its midpoint
+check, the extreme-point screen through the unit level set, and sharpened
+weighted-derivative bounds near a unit-level point, on the one mu kernel."""
 
 from __future__ import annotations
 
@@ -9,21 +10,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import AnalyticSeries, differentiate, linear_combination
+from .series import AnalyticSeries, linear_combination
 from .optimize import DISK_RADIUS_CAP
 from .mapping import (
     HarmonicMapping,
     LambdaReport,
     LevelSetShape,
     Ternary,
-    _abs_sum,
-    _derivative_coefficients,
     _disk_weight,
+    _mu_values,
     _pseudo_distance,
-    _scale_parts,
     _tail_allowance,
     _unit_level_side,
-    _weighted_abs_sum,
     bloch_norm,
     estimate_bloch_constant,
     lambda_set,
@@ -34,9 +32,6 @@ from .mapping import (
 __all__ = [
     "MembershipReport",
     "membership",
-    "rotation_normalize",
-    "CoefficientConditions",
-    "coefficient_conditions",
     "counterexample_family",
     "midpoint_check",
     "ExtremeVerdict",
@@ -106,67 +101,6 @@ def membership(f: HarmonicMapping) -> MembershipReport:
     )
 
 
-def rotation_normalize(f: HarmonicMapping) -> HarmonicMapping:
-    """Rotate each part so h'(0) and g'(0) become nonnegative reals."""
-    def unimodular(s):
-        d = complex(differentiate(s).coefficients[0])
-        return d.conjugate() / abs(d) if d != 0 else 1.0
-
-    return _scale_parts(f, unimodular(f.h), unimodular(f.g))
-
-
-@dataclass(frozen=True)
-class CoefficientConditions:
-    """Necessary coefficient conditions at a norm-one normalized mapping.
-
-    ``a1``, ``b0``, ``b1`` are the measured derivative coefficients that must
-    vanish; ``pair_sum`` is |a2| + |b2|, which must not exceed one.  Any
-    failure certifies that the mapping cannot lie on the unit sphere of the
-    normalized ball.
-    """
-
-    a1: complex
-    b0: complex
-    b1: complex
-    pair_sum: float
-    passed: dict
-    all_passed: bool
-
-    @property
-    def certifies_exclusion(self) -> bool:
-        return not self.all_passed
-
-
-# coefficientwise comparisons treat differences up to this size as zero
-COEFFICIENT_TOL = 1e-12
-
-
-def coefficient_conditions(f: HarmonicMapping) -> CoefficientConditions:
-    """Check the vanishing/size conditions on the derivative coefficients.
-
-    Requires the normalization h'(0) = 1 (use ``rotation_normalize`` and a
-    scaling first if needed); coefficients index the power series of h' and
-    g'.
-    """
-    hp, gp = _derivative_coefficients(f)
-    if abs(hp[0] - 1.0) > 1e-12:
-        raise ValueError("coefficient conditions require the normalization h'(0) = 1")
-
-    def coef(c, k):
-        return complex(c[k]) if k < c.size else 0.0
-
-    a1, a2 = coef(hp, 1), coef(hp, 2)
-    b0, b1, b2 = coef(gp, 0), coef(gp, 1), coef(gp, 2)
-    pair = abs(a2) + abs(b2)
-    passed = {
-        "a1_zero": abs(a1) <= COEFFICIENT_TOL,
-        "b0_zero": abs(b0) <= COEFFICIENT_TOL,
-        "b1_zero": abs(b1) <= COEFFICIENT_TOL,
-        "pair_sum_at_most_one": pair <= 1.0 + COEFFICIENT_TOL,
-    }
-    return CoefficientConditions(a1, b0, b1, pair, passed, all(passed.values()))
-
-
 def counterexample_family(a: float) -> HarmonicMapping:
     """Quadratic family f_a = h_a + conj(g_a), 0 < a < 2, with
     h_a(z) = (3 sqrt(3)/8) a z^2 and g_a = -h_{2-a}.
@@ -180,6 +114,10 @@ def counterexample_family(a: float) -> HarmonicMapping:
     h = AnalyticSeries([0.0, 0.0, FAMILY_SCALE * a])
     g = AnalyticSeries([0.0, 0.0, -FAMILY_SCALE * (2.0 - a)])
     return HarmonicMapping(h, g)
+
+
+# coefficientwise comparisons treat differences up to this size as zero
+COEFFICIENT_TOL = 1e-12
 
 
 def midpoint_check(f: HarmonicMapping, a: float) -> bool:
@@ -314,12 +252,12 @@ def _punctured_samples(z0: complex, delta: float, n_radii: int, n_angles: int,
     raise ValueError("punctured neighborhood does not meet the open disk")
 
 
-def _sharpening_margins(derivatives, pts: np.ndarray, z0: complex, n: int) -> np.ndarray:
-    # derivatives = (h', g') coefficients; the weight multiplies the whole
-    # sum, and distributing it would round differently
-    deriv = _abs_sum(*derivatives, pts)
-    mob = _pseudo_distance(z0, pts)
-    return 1.0 - (deriv + mob ** n) * _disk_weight(pts)
+def _sharpening_margins(mu_vals: np.ndarray, pts: np.ndarray, z0: complex, n: int) -> np.ndarray:
+    # 1 - mu_f - |m|^n (1 - |z|^2) for mu_vals = mu_f on pts; in place, same bits
+    out = _pseudo_distance(z0, pts)
+    out **= n
+    out *= _disk_weight(pts)
+    return np.subtract(1.0 - mu_vals, out, out=out)
 
 
 # accepted margins must clear float noise; smaller positives are treated as zero
@@ -348,7 +286,9 @@ def sharpening_exponent(f: HarmonicMapping, z0, delta0: float):
     Every margin, here and in ``verify_sharpening``, is lowered by the
     declared tails: by Schwarz-Pick a tail with coefficient sum at most T
     adds at most T to (1 - |z|^2)(|h'| + |g'|), the same allowance the
-    accuracy of the Bloch constant carries.
+    accuracy of the Bloch constant carries.  mu_f comes from the Bloch
+    constant's kernel: a composition's margins read its exact mu, yet still
+    subtract its series' declared tails.
     """
     z0 = complex(z0)
     delta0 = float(delta0)
@@ -356,16 +296,19 @@ def sharpening_exponent(f: HarmonicMapping, z0, delta0: float):
         raise ValueError("delta0 must be a positive finite number")
     if abs(mu(f, z0) - 1.0) > 1e-8:
         raise ValueError("sharpening requires a unit-level center point")
-    base = _punctured_samples(z0, delta0, *SEARCH_GRID)
-    derivatives = _derivative_coefficients(f)
-    if not bool((_weighted_abs_sum(*derivatives)(base) < 1.0 - 1e-12).all()):
+    values = _mu_values(f)
+    pts = _punctured_samples(z0, delta0, *SEARCH_GRID)
+    mu_vals = values(pts)
+    if not bool((mu_vals < 1.0 - 1e-12).all()):
         raise ValueError("mu must stay below one on the punctured neighborhood")
     tail = _tail_allowance(f)
     delta = delta0
     for _ in range(MAX_HALVINGS + 1):
-        pts = base if delta == delta0 else _punctured_samples(z0, delta, *SEARCH_GRID)
+        if delta != delta0:
+            pts = _punctured_samples(z0, delta, *SEARCH_GRID)
+            mu_vals = values(pts)
         for n in range(1, MAX_EXPONENT + 1):
-            margins = _sharpening_margins(derivatives, pts, z0, n)
+            margins = _sharpening_margins(mu_vals, pts, z0, n)
             worst = float(margins.min()) - tail
             if worst <= MARGIN_FLOOR:
                 continue
@@ -391,9 +334,9 @@ def verify_sharpening(f: HarmonicMapping, result: SharpeningResult,
     z0, n = result.center, result.exponent_n
     blocks = _punctured_blocks(z0, result.delta, n_radii, n_angles,
                                np.pi / (2.0 * n_angles), max(BLOCK_POINTS // n_angles, 1))
-    derivatives = _derivative_coefficients(f)
+    values = _mu_values(f)
     # np.min, unlike min, lets a NaN margin through
-    minima = [_sharpening_margins(derivatives, pts, z0, n).min() for pts in blocks if pts.size]
+    minima = [_sharpening_margins(values(pts), pts, z0, n).min() for pts in blocks if pts.size]
     if not minima:
         raise ValueError("punctured neighborhood does not meet the open disk")
     return float(np.min(minima)) - _tail_allowance(f)

@@ -89,12 +89,6 @@ def add_mappings(f1: HarmonicMapping, f2: HarmonicMapping) -> HarmonicMapping:
     )
 
 
-def _scale_parts(f: HarmonicMapping, ch, cg) -> HarmonicMapping:
-    zero = AnalyticSeries([0.0])
-    return HarmonicMapping(linear_combination(ch, f.h, 0.0, zero),
-                           linear_combination(cg, f.g, 0.0, zero))
-
-
 def scale_mapping(f: HarmonicMapping, factor) -> HarmonicMapping:
     """Scale both parts by one complex factor, carrying f's Bloch estimate.
 
@@ -105,13 +99,20 @@ def scale_mapping(f: HarmonicMapping, factor) -> HarmonicMapping:
     The result's β thus depends on whether f was searched first, within the
     reported accuracy.  Scaling never starts a search; an f not yet
     estimated leaves the result to its own.  A zero factor carries nothing,
-    since an unbounded tail's accuracy times zero would be NaN.
+    since an unbounded tail's accuracy times zero would be NaN.  A
+    composition p o phi from ``disk.precompose`` scales to a composition of
+    ``scale_mapping(p, factor)`` with phi, so its mu stays exact.
     """
     factor = complex(factor)
-    out = _scale_parts(f, factor, factor)
+    zero = AnalyticSeries([0.0])
+    out = HarmonicMapping(linear_combination(factor, f.h, 0.0, zero),
+                          linear_combination(factor, f.g, 0.0, zero))
     if factor and "_estimate" in vars(f):
         est, s = f._estimate, abs(factor)
         vars(out)["_estimate"] = MaximizationResult(est.value * s, est.accuracy * s, est.argmax)
+    link = vars(f).get("_composition")
+    if link is not None:
+        vars(out)["_composition"] = (scale_mapping(link[0], factor), link[1])
     return out
 
 
@@ -134,11 +135,6 @@ def _weighted_abs_sum(a: np.ndarray, b: np.ndarray):
     return values
 
 
-def _derivative_coefficients(f: HarmonicMapping):
-    """The coefficient vectors of h' and g'."""
-    return differentiate(f.h).coefficients, differentiate(f.g).coefficients
-
-
 def _mu_values(f: HarmonicMapping):
     """mu_f as a vectorized objective.
 
@@ -151,7 +147,8 @@ def _mu_values(f: HarmonicMapping):
     """
     link = vars(f).get("_composition")
     if link is None:
-        return _weighted_abs_sum(*_derivative_coefficients(f))
+        return _weighted_abs_sum(differentiate(f.h).coefficients,
+                                 differentiate(f.g).coefficients)
     parent, phi = link
     outer = _mu_values(parent)
     c, rot = phi.center, np.exp(1j * phi.rotation)
@@ -218,12 +215,15 @@ def _peel_constant(f: HarmonicMapping, lam1: float) -> HarmonicMapping:
     """(f - f(0)) / (1 - lam1) for lam1 < 1, carrying f's Bloch estimate.
 
     Dropping h(0) leaves mu_f bit for bit, so the constant-free part holds
-    f's estimate unchanged and ``scale_mapping`` scales it by 1/(1 - lam1):
-    the result's level set then walks its level seeds without a search.
+    f's estimate and a composition's link unchanged, and ``scale_mapping``
+    scales both by 1/(1 - lam1): the result's level set then walks its level
+    seeds without a search, on the exact mu of a composition.
     """
     free = HarmonicMapping(AnalyticSeries(np.r_[0.0, f.h.coefficients[1:]], f.h.tail_bound),
                            f.g)
     vars(free)["_estimate"] = f._estimate
+    if "_composition" in vars(f):
+        vars(free)["_composition"] = vars(f)["_composition"]
     return scale_mapping(free, 1.0 / (1.0 - lam1))
 
 

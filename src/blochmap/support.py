@@ -437,10 +437,10 @@ def _batch_ratio_max(h_rows: np.ndarray, g_rows: np.ndarray, z0: complex,
 def _draw_sample_rows(f: HarmonicMapping, z0: complex, count: int, columns: int,
                       rng: np.random.Generator):
     """Stratified members of the normalized unit ball, as coefficient rows
-    before normalization; returns (h_rows, g_rows, labels)."""
+    before normalization; returns (h_rows, g_rows, sizes), where ``sizes``
+    maps each nonempty stratum, in row order, to its number of rows."""
     h_rows = np.zeros((count, columns), dtype=complex)
     g_rows = np.zeros((count, columns), dtype=complex)
-    labels = []
 
     fh = np.zeros(columns, dtype=complex)
     fg = np.zeros(columns, dtype=complex)
@@ -464,7 +464,6 @@ def _draw_sample_rows(f: HarmonicMapping, z0: complex, count: int, columns: int,
             h_rows[i] = _mobius_identity_row(z0, columns)
         else:
             g_rows[i] = _mobius_identity_row(z0, columns)
-        labels.append("aligned")
         i += 1
 
     def gaussian_rows(m, degree):
@@ -480,7 +479,6 @@ def _draw_sample_rows(f: HarmonicMapping, z0: complex, count: int, columns: int,
     gp[(drop >= 0.2) & (drop < 0.4)] = 0.0
     h_rows[i: i + n_poly, : deg + 1] = hp
     g_rows[i: i + n_poly, : deg + 1] = gp
-    labels.extend(["random_poly"] * n_poly)
     i += n_poly
 
     radii = rng.uniform(0.0, 0.85, n_mob)
@@ -491,7 +489,6 @@ def _draw_sample_rows(f: HarmonicMapping, z0: complex, count: int, columns: int,
             h_rows[i + j] = row
         else:
             g_rows[i + j] = row
-    labels.extend(["mobius"] * n_mob)
     i += n_mob
 
     t = rng.uniform(0.05, 0.95, n_mix)[:, None]
@@ -501,9 +498,9 @@ def _draw_sample_rows(f: HarmonicMapping, z0: complex, count: int, columns: int,
     g_rows[i: i + n_mix] = t * fg[None, :]
     h_rows[i: i + n_mix, : deg + 1] += (1.0 - t) * hp
     g_rows[i: i + n_mix, : deg + 1] += (1.0 - t) * gp
-    labels.extend(["mixture"] * n_mix)
 
-    return h_rows, g_rows, labels
+    sizes = {"aligned": n_aligned, "random_poly": n_poly, "mobius": n_mob, "mixture": n_mix}
+    return h_rows, g_rows, {name: size for name, size in sizes.items() if size}
 
 
 def _member_level_set(f: HarmonicMapping) -> LambdaReport | None:
@@ -575,13 +572,13 @@ def support_certificate(f: HarmonicMapping, samples: int = 10000, seed: int = 0)
     done = 0
     while done < samples:
         chunk = min(512, samples - done)
-        h_rows, g_rows, labels = _draw_sample_rows(f, z0, chunk, columns, rng)
+        h_rows, g_rows, sizes = _draw_sample_rows(f, z0, chunk, columns, rng)
         lvals = np.abs(weight * (_serial_matvec(h_rows, dvec)
                                   + phase * np.conj(_serial_matvec(g_rows, dvec))))
         sample_max = max(sample_max, _batch_ratio_max(h_rows, g_rows, z0, rng, lvals,
-                                                      labels.count("aligned")))
-        for name in labels:
-            strata[name] = strata.get(name, 0) + 1
+                                                      sizes["aligned"]))
+        for name, size in sizes.items():
+            strata[name] = strata.get(name, 0) + size
         done += chunk
 
     if sample_max > attained + 1e-8:

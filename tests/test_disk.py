@@ -14,6 +14,7 @@ from blochmap import (
     mu,
     mu_grid_rows,
     precompose,
+    scale_mapping,
 )
 from blochmap import mapping
 from blochmap.disk import _automorphism_series, _composition_tail
@@ -200,6 +201,29 @@ def test_composed_mu_is_mu_at_phi(seed, order):
         assert mu(twice, p) == pytest.approx(mu(f, w), rel=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_scaled_composition_keeps_its_exact_mu(seed):
+    # mu of c (p o phi) is |c| mu_p o phi: scaling keeps the link to p for a
+    # composition, a nested one and one peeled of its constant
+    rng = np.random.default_rng([seed, 13])
+    f = random_mapping(rng, int(rng.integers(1, 61)))
+    phi, psi = random_automorphism(rng, 0.99), random_automorphism(rng, 0.99)
+    c, d = (complex(rng.uniform(0.2, 2.0) * np.exp(2j * np.pi * rng.uniform()))
+            for _ in range(2))
+    once = precompose(f, phi, 5)
+    scaled = scale_mapping(once, c)
+    nested = scale_mapping(precompose(scaled, psi, 5), d)
+    lam1 = rng.uniform(0.0, 0.9)
+    peeled = mapping._peel_constant(once, lam1)
+    z = 0.999 * np.sqrt(rng.random(20)) * np.exp(2j * np.pi * rng.random(20))
+    for p in z:
+        w = apply_automorphism(phi, p)
+        assert mu(scaled, p) == pytest.approx(abs(c) * mu(f, w), rel=1e-12)
+        assert mu(peeled, p) == pytest.approx(mu(f, w) / (1.0 - lam1), rel=1e-12)
+        w = apply_automorphism(phi, apply_automorphism(psi, p))
+        assert mu(nested, p) == pytest.approx(abs(c * d) * mu(f, w), rel=1e-12)
+
+
 def test_composed_mu_reads_minus_inf_only_off_the_disk():
     # off the open disk, phi's pole at 1/conj(c) included, the composed mu
     # reads -inf without evaluating; inside it, mu and the grid rows, whose
@@ -217,7 +241,10 @@ def test_composed_family_keeps_unit_beta_at_low_order(center):
     # f_0.75 has beta = 1; at order 10 the series of f_0.75 o phi is far from
     # the composition, but its mu is exact
     comp = precompose(counterexample_family(0.75), MobiusAutomorphism(center), 10)
+    # scaled before either is searched, the copy runs its own search
+    copy = scale_mapping(comp, 1.0)
     assert abs(estimate_bloch_constant(comp).value - 1.0) <= 1e-9
+    assert abs(estimate_bloch_constant(copy).value - 1.0) <= 1e-9
 
 
 def test_composed_search_near_the_rim_raises_no_floating_point_error():

@@ -154,10 +154,9 @@ def same_ratio_max(h_rows, g_rows, z0, seed, lvals, n_aligned):
 @pytest.fixture(scope="module")
 def family_chunk():
     z0 = complex(INV_SQRT3 * np.exp(0.3j))
-    h, g, labels = support._draw_sample_rows(FAMILY, z0, 512, 61,
-                                             np.random.default_rng(7))
-    assert set(labels) == {"aligned", "random_poly", "mobius", "mixture"}
-    return h, g, np.array(labels), z0
+    h, g, sizes = support._draw_sample_rows(FAMILY, z0, 512, 61, np.random.default_rng(7))
+    assert list(sizes) == ["aligned", "random_poly", "mobius", "mixture"]
+    return h, g, np.repeat(list(sizes), list(sizes.values())), z0
 
 
 # 3 * size walkers: 63 and 66 sit on both sides of the lookahead switch
@@ -181,7 +180,7 @@ def test_batch_beta_matches_reference_across_strata(family_chunk, size):
 
 
 def test_batch_beta_identity_chunk_matches_reference():
-    h, g, labels = support._draw_sample_rows(IDENTITY, 0j, 128, 61, np.random.default_rng(3))
+    h, g, _ = support._draw_sample_rows(IDENTITY, 0j, 128, 61, np.random.default_rng(3))
     assert same_ratio_max(h, g, 0j, 3, certificate_lvals(IDENTITY, h, g, 0j), 16)
 
 
@@ -190,9 +189,9 @@ def test_batch_beta_identity_chunk_matches_reference():
                          ids=["identity", "co-identity", "family"])
 @pytest.mark.parametrize("size", [1, 16, 22, 128, 512])
 def test_ratio_max_full_chunks_match_reference(f, z0, size):
-    h, g, labels = support._draw_sample_rows(f, z0, size, 61, np.random.default_rng(size))
+    h, g, sizes = support._draw_sample_rows(f, z0, size, 61, np.random.default_rng(size))
     lvals = certificate_lvals(f, h, g, z0)
-    assert same_ratio_max(h, g, z0, 3, lvals, labels.count("aligned"))
+    assert same_ratio_max(h, g, z0, 3, lvals, sizes["aligned"])
 
 
 def test_batch_beta_one_sided_rows():
@@ -214,10 +213,24 @@ def test_batch_beta_wide_mapping():
     f = HarmonicMapping(
         AnalyticSeries(np.r_[0.0, 0.02 * rng.standard_normal(79)]),
         AnalyticSeries(np.r_[0.0, 0.02j * rng.standard_normal(79)]))
-    h, g, labels = support._draw_sample_rows(f, 0.1j, 96, 80, np.random.default_rng(12))
+    h, g, sizes = support._draw_sample_rows(f, 0.1j, 96, 80, np.random.default_rng(12))
     assert h.shape[1] == 80
     lvals = certificate_lvals(f, h, g, 0.1j)
-    assert same_ratio_max(h, g, 0.1j, 12, lvals, labels.count("aligned"))
+    assert same_ratio_max(h, g, 0.1j, 12, lvals, sizes["aligned"])
+
+
+# (count, stratum sizes in row order): empty strata are left out
+STRATA = [(1, {"aligned": 1}), (16, {"aligned": 16}), (17, {"aligned": 16, "mixture": 1}),
+          (18, {"aligned": 16, "mobius": 1, "mixture": 1}),
+          (22, {"aligned": 16, "random_poly": 2, "mobius": 2, "mixture": 2}),
+          (512, {"aligned": 16, "random_poly": 198, "mobius": 149, "mixture": 149})]
+
+
+@pytest.mark.parametrize("count, want", STRATA, ids=[str(c) for c, _ in STRATA])
+def test_sample_rows_report_stratum_sizes(count, want):
+    h, g, sizes = support._draw_sample_rows(FAMILY, 0.3j, count, 61, np.random.default_rng(count))
+    assert list(sizes.items()) == list(want.items())
+    assert h.shape == g.shape == (count, 61)
 
 
 def test_ratio_max_keeps_nan_bounds(family_chunk):
@@ -465,10 +478,20 @@ def reference_weighted_derivative(f, pts):
     return deriv, w
 
 
+def reference_mobius_factor(pts, z0):
+    return np.abs((pts - z0) / (1.0 - np.conj(z0) * pts))
+
+
 def reference_sharpening_margins(f, pts, z0, n):
+    # 1 - mu - |m|^n w, with mu read as the mu kernel forms it
     deriv, w = reference_weighted_derivative(f, pts)
-    mob = np.abs((pts - z0) / (1.0 - np.conj(z0) * pts))
-    return 1.0 - (deriv + mob ** n) * w
+    return 1.0 - w * deriv - reference_mobius_factor(pts, z0) ** n * w
+
+
+def summed_sharpening_margins(f, pts, z0, n):
+    # the margins' former form, the weight multiplying the whole sum
+    deriv, w = reference_weighted_derivative(f, pts)
+    return 1.0 - (deriv + reference_mobius_factor(pts, z0) ** n) * w
 
 
 def reference_series_derivative_at(s, z0):
@@ -511,7 +534,6 @@ def check_mu_kernel(f, pts):
     got = mapping._mu_values(f)(pts)
     assert same_array_bits(got, reference_derivative_values(f)(pts))
     deriv, w = reference_weighted_derivative(f, pts)
-    # sharpening_exponent's neighbourhood test reads w * deriv where it read deriv * w
     assert same_array_bits(got, deriv * w)
     assert same_array_bits(mapping._abs_sum(differentiate(f.h).coefficients,
                                             differentiate(f.g).coefficients, pts), deriv)
@@ -524,8 +546,7 @@ def check_mu_kernel(f, pts):
             assert bits(eval_series(differentiate(s), z)) == bits(reference_series_derivative_at(s, z))
     for n in (1, 2, 5):
         for z0 in (0j, pts[3], pts[-1]):
-            derivatives = extremal._derivative_coefficients(f)
-            assert same_array_bits(extremal._sharpening_margins(derivatives, pts, z0, n),
+            assert same_array_bits(extremal._sharpening_margins(got, pts, z0, n),
                                    reference_sharpening_margins(f, pts, z0, n))
 
 
@@ -544,14 +565,44 @@ def test_mu_kernel_matches_on_family_member():
     check_mu_kernel(FAMILY, polar_grid(64, 128))
 
 
+PUNCTURED = [(IDENTITY, 0j), (FAMILY, INV_SQRT3 * np.exp(0.4j))]
+
+
 def test_sharpening_margins_on_punctured_samples():
-    z0 = INV_SQRT3 * np.exp(0.4j)
-    for f, center in ((IDENTITY, 0j), (FAMILY, z0)):
+    for f, center in PUNCTURED:
         pts = extremal._punctured_samples(center, 0.3, 48, 96)
+        mu_vals = mapping._mu_values(f)(pts)
         for n in range(1, 9):
-            derivatives = extremal._derivative_coefficients(f)
-            assert same_array_bits(extremal._sharpening_margins(derivatives, pts, center, n),
+            assert same_array_bits(extremal._sharpening_margins(mu_vals, pts, center, n),
                                    reference_sharpening_margins(f, pts, center, n))
+
+
+def assert_near_summed_margins(f, pts, z0, n):
+    # within 4 ulps of the larger of one and the summed terms, which is 4
+    # ulps of one wherever (|h'| + |g'| + |m|^n) w <= 1
+    got = extremal._sharpening_margins(mapping._mu_values(f)(pts), pts, z0, n)
+    deriv, w = reference_weighted_derivative(f, pts)
+    terms = (deriv + reference_mobius_factor(pts, z0) ** n) * w
+    gap = np.abs(got - summed_sharpening_margins(f, pts, z0, n))
+    assert (gap <= 4.0 * np.spacing(np.maximum(terms, 1.0))).all()
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 8, 60, 140])
+def test_sharpening_margins_near_the_summed_form_on_kernel_mappings(degree):
+    rng = np.random.default_rng(400 + degree)
+    pts = np.array(scalar_points(rng))
+    for f in kernel_mappings(degree, rng):
+        for n in (1, 2, 5, 8):
+            for z0 in (0j, pts[3], pts[-1]):
+                assert_near_summed_margins(f, pts, z0, n)
+
+
+def test_sharpening_margins_near_the_summed_form_on_punctured_samples():
+    for f, center in PUNCTURED:
+        for delta in (0.3, 0.05):
+            pts = extremal._punctured_samples(center, delta, 48, 96)
+            for n in range(1, 9):
+                assert_near_summed_margins(f, pts, center, n)
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 8, 60, 140])
@@ -1134,8 +1185,8 @@ def reference_verify_sharpening(f, result, n_radii=1000, n_angles=1000):
         pts = pts[np.abs(pts) <= DISK_RADIUS_CAP]
     if pts.size == 0:
         raise ValueError("punctured neighborhood does not meet the open disk")
-    derivatives = extremal._derivative_coefficients(f)
-    return float(extremal._sharpening_margins(derivatives, pts, z0, result.exponent_n).min())
+    mu_vals = reference_derivative_values(f)(pts)
+    return float(extremal._sharpening_margins(mu_vals, pts, z0, result.exponent_n).min())
 
 
 def reference_verify_bonk_constants(constants, n_samples=10 ** 6, seed=0):
@@ -1193,9 +1244,9 @@ def test_blocked_sharpening_check_with_every_point_masked(center, delta, shape):
 def test_blocked_sharpening_check_lets_a_nan_margin_through(monkeypatch):
     margins = extremal._sharpening_margins
 
-    def outer_ring_nan(derivatives, pts, z0, n):
+    def outer_ring_nan(mu_vals, pts, z0, n):
         # a NaN margin on the outermost radius only, which the last block holds
-        out = margins(derivatives, pts, z0, n)
+        out = margins(mu_vals, pts, z0, n)
         out[np.abs(pts - z0) > 0.449] = np.nan
         return out
 
@@ -1207,7 +1258,7 @@ def test_blocked_sharpening_check_lets_a_nan_margin_through(monkeypatch):
 
 def test_sharpening_checks_differentiate_once(monkeypatch):
     # one (h', g') pair per check, however many blocks or (n, delta) tries;
-    # the pair comes from mapping._derivative_coefficients
+    # the pair comes from the mu kernel, mapping._mu_values
     calls = []
     derive = mapping.differentiate
 
@@ -1227,15 +1278,73 @@ def test_sharpening_checks_differentiate_once(monkeypatch):
     assert len(calls) == 6
 
 
+def counting_mu_kernel(monkeypatch):
+    # the sizes of the point arrays each of extremal's mu kernels evaluates
+    sizes = []
+    kernel = extremal._mu_values
+
+    def counting(f):
+        values = kernel(f)
+
+        def counted(z):
+            sizes.append(np.size(z))
+            return values(z)
+
+        return counted
+
+    monkeypatch.setattr(extremal, "_mu_values", counting)
+    return sizes
+
+
+def test_sharpening_checks_evaluate_mu_once_per_grid(monkeypatch):
+    sizes = counting_mu_kernel(monkeypatch)
+    # the dense check: once per block, 7 blocks of one radius row each
+    extremal.verify_sharpening(IDENTITY, extremal.SharpeningResult(2, 0.45, 0.1, 0j), 7, 33000)
+    assert sizes == [33000] * 7
+    sizes.clear()
+    # the search: once on its grid for both exponents it tries, then once
+    # per block of the dense check that confirms n = 2
+    res = extremal.sharpening_exponent(IDENTITY, 0j, 0.45)
+    assert res.exponent_n == 2 and res.delta == 0.45
+    rows = extremal.BLOCK_POINTS // 1000
+    assert sizes == [48 * 96] + [rows * 1000] * (1000 // rows) + [1000 % rows * 1000]
+
+
+def test_sharpening_reads_the_composed_mu(monkeypatch):
+    # identity o phi touches the unit level at phi's center alone; the search
+    # and the dense check read its mu as the identity's at phi(z), not as
+    # the truncated series' own
+    phi = MobiusAutomorphism(0.3 + 0.2j, 0.5)
+    comp = precompose(IDENTITY, phi, 40)
+    seen = []
+    margins = extremal._sharpening_margins
+
+    def recording(mu_vals, pts, z0, n):
+        seen.append((mu_vals, pts))
+        return margins(mu_vals, pts, z0, n)
+
+    monkeypatch.setattr(extremal, "_sharpening_margins", recording)
+    res = extremal.sharpening_exponent(comp, phi.center, 0.3)
+    assert (res.exponent_n, res.delta) == (2, 0.3)
+    assert res.verified_margin > extremal.MARGIN_FLOOR
+    parent = reference_derivative_values(IDENTITY)
+    rot, c = np.exp(1j * phi.rotation), phi.center
+    for mu_vals, pts in seen:
+        assert same_array_bits(mu_vals, parent(rot * (pts - c) / (1.0 - np.conj(c) * pts)))
+    # the search grid, tried at n = 1 and 2, and the dense check's blocks
+    assert [p.size for _, p in seen[:3]] == [48 * 96, 48 * 96, extremal.BLOCK_POINTS // 1000 * 1000]
+    assert sum(p.size for _, p in seen[2:]) == 1000 * 1000
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (37, 41), (7, 33000), (1000, 1000)],
                          ids=["1x1", "37x41", "7x33000", "1000x1000"])
 def test_sharpening_blocks_tile_the_one_shot_grid(monkeypatch, shape):
     seen = []
     margins = extremal._sharpening_margins
 
-    def recording(derivatives, pts, z0, n):
+    def recording(mu_vals, pts, z0, n):
         seen.append(pts)
-        return margins(derivatives, pts, z0, n)
+        return margins(mu_vals, pts, z0, n)
 
     monkeypatch.setattr(extremal, "_sharpening_margins", recording)
     n_radii, n_angles = shape

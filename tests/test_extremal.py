@@ -9,8 +9,6 @@ from blochmap import (
     MobiusAutomorphism,
     Ternary,
     bloch_constant,
-    bloch_norm,
-    coefficient_conditions,
     counterexample_family,
     estimate_bloch_constant,
     extreme_necessity,
@@ -18,7 +16,6 @@ from blochmap import (
     midpoint_check,
     mu,
     precompose,
-    rotation_normalize,
     scale_mapping,
     sharpening_exponent,
     verify_sharpening,
@@ -78,56 +75,6 @@ def test_membership_composition_takes_its_parents_little_bloch_status():
     assert membership(precompose(exact, MobiusAutomorphism(-0.3), 20)).in_little_ball is Ternary.TRUE
     tailed = HarmonicMapping(AnalyticSeries([0.0, 0.5], tail_bound=0.1), AnalyticSeries([0.0]))
     assert membership(precompose(tailed, phi, 20)).in_little_ball is Ternary.UNDECIDED
-
-
-def test_rotation_normalize_makes_derivatives_real():
-    f = HarmonicMapping(
-        AnalyticSeries([0.0, 1j, 0.5]),
-        AnalyticSeries([0.0, -1.0, 0.25j]),
-    )
-    r = rotation_normalize(f)
-    assert r.h.coefficients[1].imag == pytest.approx(0.0, abs=1e-15)
-    assert r.h.coefficients[1].real > 0
-    assert r.g.coefficients[1].imag == pytest.approx(0.0, abs=1e-15)
-    assert r.g.coefficients[1].real > 0
-
-
-def test_rotation_normalize_keeps_tailed_coefficients():
-    f = HarmonicMapping(
-        AnalyticSeries([0.0, 1j, 0.5], 1e-3),
-        AnalyticSeries([0.0, -1.0, 0.25j], 2e-3),
-    )
-    r = rotation_normalize(f)
-    assert r.h.coefficients.size == r.g.coefficients.size == 3
-    assert r.h.coefficients[1] == pytest.approx(1.0, abs=1e-15)
-    assert r.g.coefficients[1] == pytest.approx(1.0, abs=1e-15)
-    assert np.allclose(np.abs(r.h.coefficients), np.abs(f.h.coefficients), rtol=0, atol=1e-15)
-    assert np.allclose(np.abs(r.g.coefficients), np.abs(f.g.coefficients), rtol=0, atol=1e-15)
-    assert (r.h.tail_bound, r.g.tail_bound) == pytest.approx((1e-3, 2e-3))
-    assert estimate_bloch_constant(r).value == pytest.approx(
-        estimate_bloch_constant(f).value, rel=1e-12)
-
-
-def test_coefficient_conditions_family_passes():
-    conds = coefficient_conditions(
-        HarmonicMapping(AnalyticSeries([0.0, 1.0, 0.0, 0.1]), AnalyticSeries([0.0, 0.0, 0.0, 0.2]))
-    )
-    assert conds.all_passed
-    assert conds.pair_sum == pytest.approx(0.3 + 0.6)
-
-
-def test_coefficient_conditions_requires_normalization():
-    with pytest.raises(ValueError):
-        coefficient_conditions(counterexample_family(1.0))
-
-
-def test_coefficient_conditions_failure_matches_norm_excess():
-    # a nonzero a1 fails the screen, and the same mapping has norm above one
-    f = HarmonicMapping(AnalyticSeries([0.0, 1.0, 0.4]), AnalyticSeries([0.0]))
-    conds = coefficient_conditions(f)
-    assert not conds.passed["a1_zero"]
-    assert conds.certifies_exclusion
-    assert bloch_norm(f) > 1.0 + 1e-6
 
 
 def test_family_parameter_domain():

@@ -98,6 +98,20 @@ def test_scale_mapping_keeps_tailed_coefficients():
     assert estimate_bloch_constant(scaled).value == 2.0 * beta
 
 
+def test_unimodular_scale_keeps_tailed_coefficients():
+    # both parts tailed: every coefficient keeps its modulus, each part its
+    # declared tail, and a fresh search of the result reads f's beta
+    f = HarmonicMapping(AnalyticSeries([0.0, 1j, 0.5], 1e-3),
+                        AnalyticSeries([0.0, -1.0, 0.25j], 2e-3))
+    r = scale_mapping(f, np.exp(0.7j))
+    assert r.h.coefficients.size == r.g.coefficients.size == 3
+    assert np.allclose(np.abs(r.h.coefficients), np.abs(f.h.coefficients), rtol=0, atol=1e-15)
+    assert np.allclose(np.abs(r.g.coefficients), np.abs(f.g.coefficients), rtol=0, atol=1e-15)
+    assert (r.h.tail_bound, r.g.tail_bound) == pytest.approx((1e-3, 2e-3))
+    beta = estimate_bloch_constant(r).value
+    assert beta == pytest.approx(estimate_bloch_constant(f).value, rel=1e-12)
+
+
 def test_zero_scale_of_an_unbounded_tail_is_the_exact_zero():
     f = HarmonicMapping(AnalyticSeries([0.0, 0.5], np.inf), AnalyticSeries([0.0, 0.1j], 1e-3))
     z = scale_mapping(f, 0.0)
@@ -348,7 +362,6 @@ def test_scaling_starts_no_search_and_carries_only_a_search_made(monkeypatch):
         2.0 * est.value, 2.0 * est.accuracy, est.argmax)
     # mappings whose mu is not mu_f times one factor keep to their own search
     assert "_estimate" not in vars(add_mappings(f, f))
-    assert "_estimate" not in vars(mapping._scale_parts(f, 1.0, 0.5j))
     assert len(calls) == 1
 
 

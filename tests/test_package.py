@@ -1,5 +1,6 @@
-"""The package surface: one list of public names per submodule, and demos
-that import only names that exist (tier-1 never runs the demos)."""
+"""The package surface: one list of public names per submodule, no unused
+import in the package's modules, and demos that import only names that
+exist (tier-1 never runs the demos)."""
 
 import ast
 import importlib
@@ -13,6 +14,7 @@ from blochmap import disk, extremal, mapping, optimize, series, support
 
 SUBMODULES = [series, disk, optimize, mapping, extremal, support]
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+SOURCES = sorted(Path(blochmap.__file__).resolve().parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("module", SUBMODULES, ids=lambda m: m.__name__)
@@ -28,7 +30,8 @@ def test_package_exports_exactly_the_submodule_lists():
     listed = set().union(*(m.__all__ for m in SUBMODULES))
     assert exported == listed
     assert len(listed) == sum(len(m.__all__) for m in SUBMODULES)
-    for gone in ("sqrt_nonvanishing", "multiply", "scale", "DISK_RADIUS_CAP"):
+    for gone in ("sqrt_nonvanishing", "multiply", "scale", "DISK_RADIUS_CAP",
+                 "coefficient_conditions", "CoefficientConditions", "rotation_normalize"):
         assert gone not in exported
 
 
@@ -44,3 +47,33 @@ def test_demos_import_only_existing_names():
                 for alias in node.names:
                     if alias.name.startswith("blochmap"):
                         importlib.import_module(alias.name)
+
+
+def imported_names(tree):
+    # the names bound by import statements, star and __future__ imports aside
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name
+
+
+def used_names(tree):
+    # every name read, plus the strings a module lists in __all__
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            for elt in node.value.elts:
+                yield elt.value
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_package_modules_import_nothing_unused(path):
+    tree = ast.parse(path.read_text(), str(path))
+    unused = set(imported_names(tree)) - set(used_names(tree))
+    assert not unused, f"{path.name}: {sorted(unused)}"
