@@ -13,6 +13,7 @@ import numpy as np
 from .series import AnalyticSeries, linear_combination
 from .optimize import DISK_RADIUS_CAP
 from .mapping import (
+    BLOCK_POINTS,
     HarmonicMapping,
     LambdaReport,
     LevelSetShape,
@@ -318,11 +319,6 @@ def sharpening_exponent(f: HarmonicMapping, z0, delta0: float):
                 return SharpeningResult(n, delta, min(worst, confirmed), z0, confirmed)
         delta *= 0.5
     return None
-
-
-# points (or samples) per block of the dense checks here and in
-# support.verify_bonk_constants: a block's temporaries stay within L2
-BLOCK_POINTS = 1 << 14
 
 
 def verify_sharpening(f: HarmonicMapping, result: SharpeningResult,

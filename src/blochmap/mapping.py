@@ -328,6 +328,10 @@ def metric_beta_estimate(f: HarmonicMapping, samples: int, seed: int = 0) -> flo
 LEVEL_TOL = 1e-6
 # level-set points at most this far apart join one cluster
 MERGE_RADIUS = 0.05
+# points, samples or candidate pairs per block of the dense kernels: the
+# level-set linkage here, extremal.verify_sharpening and
+# support.verify_bonk_constants.  A block's temporaries stay within L2
+BLOCK_POINTS = 1 << 14
 # a cluster of this many distinct maxima is a curve: walkers that reach an
 # isolated maximum collapse to 1-2 points after the 1e-6 dedupe, and a count,
 # unlike a length, does not change under disk automorphisms
@@ -407,10 +411,10 @@ def _single_linkage(pts: np.ndarray, radius: float):
     ii, jj = [], []
     a = 0
     while a < n:
-        # rows with at most 128 n candidate pairs: at about 64 bytes of
-        # temporaries per pair, less than a 512 x n block of distances
+        # rows with at most BLOCK_POINTS candidate pairs, about 49 bytes of
+        # temporaries each; a row with more candidates is a block of its own
         before = total[a - 1] if a else 0
-        b = int(np.searchsorted(total, before + 128 * n, side="right"))
+        b = max(int(np.searchsorted(total, before + BLOCK_POINTS, side="right")), a + 1)
         c = counts[a:b]
         rows = np.repeat(np.arange(a, b), c)
         cols = np.arange(rows.size) - np.repeat(total[a:b] - c - before, c) + rows + 1

@@ -261,3 +261,19 @@ def test_composed_search_near_the_rim_raises_no_floating_point_error():
         rep = lambda_set(fresh)
     assert np.isfinite(est.value) and est.value > 0.0
     assert rep.flagged  # beta far above one
+
+
+@pytest.mark.parametrize("center", [
+    0.9j,
+    pytest.param(0.99j, marks=pytest.mark.xfail(
+        strict=True, reason="phi pushes the peak beyond the reach of the fixed search grid")),
+])
+def test_composed_search_keeps_a_peak_pushed_toward_the_rim(center):
+    # beta(f o phi) = beta(f) = 24.390 for the degree-60 map above.  Values
+    # are compared, not accuracies: the composed accuracy counts the declared
+    # tails of the series (5.6e142 at c = 0.99j), so it would cover any miss
+    f = random_mapping(np.random.default_rng(60), 60)
+    beta = estimate_bloch_constant(f).value
+    assert beta == pytest.approx(24.390, abs=5e-4)
+    comp = precompose(f, MobiusAutomorphism(center, 0.4), 40)
+    assert estimate_bloch_constant(comp).value >= beta - 1e-6

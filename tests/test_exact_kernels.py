@@ -1051,9 +1051,17 @@ def check_same_clusters(pts, radius):
     return got
 
 
-def test_sweep_linkage_family_ring():
+def linkage_case(name):
+    # the family's deduplicated level ring, or a vertical segment, whose one
+    # shared real part puts every later point in every window
+    if name == "segment":
+        return 0.3 + 1j * np.linspace(-0.9, 0.9, 2048)
     pts, vals = family_level_points()
-    pts, _ = mapping._dedupe_best(pts, vals, 1e-6)
+    return mapping._dedupe_best(pts, vals, 1e-6)[0]
+
+
+def test_sweep_linkage_family_ring():
+    pts = linkage_case("ring")
     assert pts.size == 1152
     for radius in (0.005, 0.05, 0.5):
         check_same_clusters(pts, radius)
@@ -1069,12 +1077,58 @@ def peak_bytes(fn, *args):
 
 
 def test_sweep_linkage_vertical_segment_within_block_memory():
-    # one shared real part puts every later point in every window
-    pts = 0.3 + 1j * np.linspace(-0.9, 0.9, 2048)
+    pts = linkage_case("segment")
     assert len(check_same_clusters(pts, 0.05)) == 1
     assert len(check_same_clusters(pts[::200], 0.05)) == pts[::200].size
     assert peak_bytes(mapping._single_linkage, pts, 0.05) <= \
         peak_bytes(reference_block_linkage, pts, 0.05)
+
+
+def pair_counts(pts, radius):
+    # candidate pairs (real parts at most 1.001 radius apart, the linkage's
+    # widened window) and edges (points at most radius apart), in 256-row blocks
+    candidates = edges = 0
+    for s in range(0, pts.size, 256):
+        block = pts[s:s + 256, None]
+        later = np.arange(pts.size)[None, :] > np.arange(s, s + block.shape[0])[:, None]
+        candidates += int((later & (np.abs(block.real - pts.real) <= 1.001 * radius)).sum())
+        edges += int((later & (np.abs(block - pts) <= radius)).sum())
+    return candidates, edges
+
+
+def linkage_peak_bound(n, edges):
+    # a block holds at most BLOCK_POINTS candidate pairs while n <= BLOCK_POINTS,
+    # with at most 64 bytes each alive at once: int64 row and column indices
+    # and, where numpy elides no temporary, three complex arrays.  Per point,
+    # at most 68 bytes: the int32 order, the complex sorted copy, the int64
+    # window ends, counts and running totals, and three int64 label arrays.
+    # Per edge, 16: its int32 ends in the block lists and concatenated, or
+    # concatenated and one gathered int64 label.  72 bytes bound both
+    assert n <= mapping.BLOCK_POINTS
+    return 64 * mapping.BLOCK_POINTS + 72 * (n + edges)
+
+
+@pytest.mark.parametrize("case, want", [
+    ("ring", (1152, 65_332, 18_326)),
+    ("segment", (2048, 2_096_128, 113_092)),
+])
+def test_sweep_linkage_memory_stays_within_the_block_budget(case, want):
+    pts = linkage_case(case)
+    candidates, edges = pair_counts(pts, 0.05)
+    assert (pts.size, candidates, edges) == want
+    assert peak_bytes(mapping._single_linkage, pts, 0.05) <= \
+        linkage_peak_bound(pts.size, edges)
+
+
+@pytest.mark.parametrize("case", ["ring", "segment"])
+def test_sweep_linkage_advances_past_rows_over_the_budget(case, monkeypatch):
+    # a budget below one row's candidate count: each such row is its own block
+    monkeypatch.setattr(mapping, "BLOCK_POINTS", 8)
+    pts = linkage_case(case)
+    # more than 8 candidates a row on average, so some row has more than 8
+    assert pair_counts(pts, 0.05)[0] > 8 * pts.size
+    for radius in (0.005, 0.05):
+        check_same_clusters(pts, radius)
 
 
 def test_sweep_linkage_dense_blob_and_scatter():
