@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ __all__ = [
 
 # rho diverges at the boundary; points this close are rejected, not clamped
 BOUNDARY_MARGIN = 1e-12
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -59,15 +61,15 @@ def apply_automorphism(phi: MobiusAutomorphism, z) -> complex:
     return complex(np.exp(1j * phi.rotation)) * num / den
 
 
-def _automorphism_series(phi: MobiusAutomorphism, order: int) -> np.ndarray:
-    # (z - c) / (1 - conj(c) z) expanded: coef_0 = -c, coef_k = conj(c)^(k-1) (1 - |c|^2)
-    c = phi.center
-    coeffs = np.empty(order + 1, dtype=complex)
-    coeffs[0] = -c
-    if order >= 1:
-        k = np.arange(order)
-        coeffs[1:] = np.conj(c) ** k * (1.0 - abs(c) ** 2)
-    return coeffs * np.exp(1j * phi.rotation)
+def _automorphism_series(center, order: int, rotation: float = 0.0) -> np.ndarray:
+    """Coefficients of exp(i*rotation) (z - c)/(1 - conj(c) z) up to `order`:
+    coef_0 = -c, coef_k = conj(c)^(k-1) (1 - |c|^2); one row per centre when
+    `center` is an array."""
+    c = np.asarray(center, dtype=complex)[..., None]
+    k = np.arange(order)
+    # hypot rounds |c| as abs(complex) does; np.abs differs in the last bit
+    coeffs = np.concatenate([-c, np.conj(c) ** k * (1.0 - np.hypot(c.real, c.imag) ** 2)], axis=-1)
+    return coeffs * np.exp(1j * rotation)
 
 
 def _compose_poly(coeffs: np.ndarray, inner: np.ndarray, order: int) -> np.ndarray:
@@ -86,24 +88,27 @@ def _composition_tail(coeffs: np.ndarray, c_abs: float, order: int) -> float:
 
     The composition is analytic up to |z| = 1/c_abs, so Cauchy estimates on a
     circle of radius rho in (1, 1/c_abs) bound every dropped coefficient; the
-    best rho over a small sweep is kept.
+    best of 24 radii is kept.  The bounds are summed in log space, so a bound
+    below the double range reads as the smallest positive double and one above
+    it as inf; only a zero polynomial has a zero tail.
     """
+    mags = np.abs(coeffs)
     if c_abs == 0.0:
         # pure rotation: only coefficients beyond the truncation are dropped
-        return float(np.abs(coeffs[order + 1:]).sum())
-    degrees = np.arange(coeffs.size)
-    mags = np.abs(coeffs)
-    best = np.inf
-    span = 1.0 / c_abs - 1.0
-    for frac in np.linspace(0.05, 0.95, 24):
-        rho = 1.0 + frac * span
-        peak = (rho + c_abs) / (1.0 - c_abs * rho)
-        with np.errstate(over="ignore"):
-            m = float(mags @ peak ** degrees)
-            bound = m * rho ** (-order) / (rho - 1.0)
-        if bound < best:
-            best = bound
-    return best
+        return float(mags[order + 1:].sum())
+    degrees = np.flatnonzero(mags)
+    if degrees.size == 0:
+        return 0.0
+    rho = 1.0 + np.linspace(0.05, 0.95, 24) * (1.0 / c_abs - 1.0)
+    peak = (rho + c_abs) / (1.0 - c_abs * rho)
+    # log of sum_k |a_k| peak^k for each rho, shifted by its largest term
+    terms = np.log(mags[degrees]) + np.log(peak)[:, None] * degrees
+    top = terms.max(axis=1)
+    log_sum = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+    best = float((log_sum - order * np.log(rho) - np.log(rho - 1.0)).min())
+    if not best < _LOG_DOUBLE_MAX:
+        return math.inf
+    return max(math.exp(best), math.ulp(0.0))
 
 
 def precompose(f, phi: MobiusAutomorphism, order: int):
@@ -124,7 +129,7 @@ def precompose(f, phi: MobiusAutomorphism, order: int):
     order = int(order)
     if order < 1:
         raise ValueError("composition order must be at least 1")
-    inner = _automorphism_series(phi, order)
+    inner = _automorphism_series(phi.center, order, phi.rotation)
     h_new = _compose_poly(f.h.coefficients, inner, order)
     g_new = _compose_poly(f.g.coefficients, inner, order)
     h_new[0] += g_new[0].conjugate()

@@ -33,7 +33,7 @@ from .mapping import (
     sup_modulus,
 )
 from .extremal import BLOCK_POINTS, membership
-from .disk import MobiusAutomorphism, _automorphism_series
+from .disk import _automorphism_series
 
 __all__ = [
     "LinearFunctional",
@@ -285,22 +285,11 @@ class SupportCertificate:
         }
 
 
+# the sampler's Mobius identities (z - w)/(1 - conj(w) z) are cut after this
+# degree, so they are only approximate automorphisms: the dropped derivative
+# tail reaches |w|^60, 5.8e-5 at |w| = 0.85.  Certificates stay sound, since
+# each row's beta is computed from its own coefficients, never assumed to be one
 MOBIUS_SAMPLE_DEGREE = 60
-
-
-def _mobius_identity_row(w: complex, columns: int) -> np.ndarray:
-    """Coefficients of (z-w)/(1-conj(w)z) minus its value at 0, cut after
-    degree MOBIUS_SAMPLE_DEGREE and at the column budget.
-
-    The cut is not negligible: the dropped tail of the derivative series can
-    reach |w|^60, about 5.8e-5 at |w| = 0.85, so a row is only an approximate
-    automorphism.  Certificates stay sound regardless, because each sampled
-    row's beta is computed from its own coefficients, never assumed to be one.
-    """
-    row = np.zeros(columns, dtype=complex)
-    top = min(columns - 1, MOBIUS_SAMPLE_DEGREE)
-    row[1:top + 1] = _automorphism_series(MobiusAutomorphism(w), top)[1:]
-    return row
 
 
 # rows x columns of one complex matrix-vector product kept below OpenBLAS's
@@ -452,19 +441,16 @@ def _draw_sample_rows(f: HarmonicMapping, z0: complex, count: int, columns: int,
     n_mob = (count - n_aligned - n_poly) // 2
     n_mix = count - n_aligned - n_poly - n_mob
 
-    i = 0
-    for j in range(n_aligned):
-        # the mapping itself, its rotations, and exact-center identities
-        if j % 4 == 0:
-            h_rows[i], g_rows[i] = fh, fg
-        elif j % 4 == 1:
-            rot = np.exp(2j * np.pi * rng.uniform())
-            h_rows[i], g_rows[i] = rot * fh, np.conj(rot) * fg
-        elif j % 4 == 2:
-            h_rows[i] = _mobius_identity_row(z0, columns)
-        else:
-            g_rows[i] = _mobius_identity_row(z0, columns)
-        i += 1
+    # the mapping itself, its rotations, and exact-center identities, in
+    # rows j = 0, 1, 2, 3 mod 4
+    top = min(columns - 1, MOBIUS_SAMPLE_DEGREE)
+    rot = np.exp(2j * np.pi * rng.uniform(size=len(range(1, n_aligned, 4))))[:, None]
+    h_rows[0:n_aligned:4], g_rows[0:n_aligned:4] = fh, fg
+    h_rows[1:n_aligned:4], g_rows[1:n_aligned:4] = rot * fh, np.conj(rot) * fg
+    identity = _automorphism_series(z0, top)[1:]
+    h_rows[2:n_aligned:4, 1:top + 1] = identity
+    g_rows[3:n_aligned:4, 1:top + 1] = identity
+    i = n_aligned
 
     def gaussian_rows(m, degree):
         rows = rng.standard_normal((m, degree + 1)) + 1j * rng.standard_normal((m, degree + 1))
@@ -481,14 +467,13 @@ def _draw_sample_rows(f: HarmonicMapping, z0: complex, count: int, columns: int,
     g_rows[i: i + n_poly, : deg + 1] = gp
     i += n_poly
 
+    # identities at random centres, each on h or on g by a fair coin
     radii = rng.uniform(0.0, 0.85, n_mob)
     angles = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n_mob))
-    for j in range(n_mob):
-        row = _mobius_identity_row(complex(radii[j] * angles[j]), columns)
-        if rng.uniform() < 0.5:
-            h_rows[i + j] = row
-        else:
-            g_rows[i + j] = row
+    rows = _automorphism_series(radii * angles, top)[:, 1:]
+    on_h = rng.uniform(size=n_mob) < 0.5
+    h_rows[i: i + n_mob, 1:top + 1][on_h] = rows[on_h]
+    g_rows[i: i + n_mob, 1:top + 1][~on_h] = rows[~on_h]
     i += n_mob
 
     t = rng.uniform(0.05, 0.95, n_mix)[:, None]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -102,7 +104,7 @@ def test_automorphism_preserves_distance():
 
 def test_automorphism_series_matches_pointwise():
     phi = MobiusAutomorphism(0.4 + 0.1j, 0.7)
-    coeffs = _automorphism_series(phi, 60)
+    coeffs = _automorphism_series(phi.center, 60, phi.rotation)
     rng = np.random.default_rng(2)
     for _ in range(8):
         z = 0.5 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
@@ -277,3 +279,69 @@ def test_composed_search_keeps_a_peak_pushed_toward_the_rim(center):
     assert beta == pytest.approx(24.390, abs=5e-4)
     comp = precompose(f, MobiusAutomorphism(center, 0.4), 40)
     assert estimate_bloch_constant(comp).value >= beta - 1e-6
+
+
+@pytest.mark.parametrize("center", [1e-3, 1e-4, 1e-7])
+def test_small_centre_tails_are_positive_and_finite(center):
+    # the degree-60 map at order 140: summed in linear space, the Cauchy
+    # bounds read an exact 0.0 at c = 1e-3, so the truncated series passed
+    # for an exact polynomial, and formed inf * 0 at smaller centres
+    f = random_mapping(np.random.default_rng(60), 60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        comp = precompose(f, MobiusAutomorphism(center), 140)
+    for part in (comp.h, comp.g):
+        assert np.isfinite(part.tail_bound) and part.tail_bound > 0.0
+        assert not part.is_exact
+
+
+def test_tiny_centre_keeps_the_family_accuracy():
+    # at c = 1e-200 the composition is the family up to rounding; its tails
+    # once read inf, which made beta's accuracy inf and flagged the level set
+    family = counterexample_family(0.75)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        comp = precompose(family, MobiusAutomorphism(1e-200), 40)
+        acc = estimate_bloch_constant(comp).accuracy
+        rep = lambda_set(comp)
+    for part in (comp.h, comp.g):
+        assert np.isfinite(part.tail_bound) and part.tail_bound > 0.0
+    assert acc == estimate_bloch_constant(precompose(family, MobiusAutomorphism(0.0), 40)).accuracy
+    assert not rep.flagged
+
+
+def test_tail_above_the_double_range_reads_inf_quietly():
+    # degree 60 against order 40 at c = 1e-200: the best Cauchy bound is
+    # about e^8000, so the tails are inf, with no overflow or inf * 0
+    f = random_mapping(np.random.default_rng(60), 60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        comp = precompose(f, MobiusAutomorphism(1e-200), 40)
+    assert comp.h.tail_bound == comp.g.tail_bound == np.inf
+
+
+def reference_composition_tail(coeffs, c_abs, order):
+    # the same 24 Cauchy bounds in linear space, one radius at a time
+    mags = np.abs(coeffs)
+    best = np.inf
+    for frac in np.linspace(0.05, 0.95, 24):
+        rho = 1.0 + frac * (1.0 / c_abs - 1.0)
+        peak = (rho + c_abs) / (1.0 - c_abs * rho)
+        best = min(best, float(mags @ peak ** np.arange(mags.size)) * rho ** (-order) / (rho - 1.0))
+    return best
+
+
+@pytest.mark.parametrize("degree", [2, 5, 8])
+@pytest.mark.parametrize("radius", [0.05, 0.3, 0.6])
+def test_declared_tail_covers_the_next_coefficients(degree, radius):
+    # the coefficients an order-400 composition keeps beyond order 40 are a
+    # lower bound on the true tail, so each declared tail must reach them;
+    # in the double range, log space moves the linear-space bound by rounding
+    rng = np.random.default_rng([degree, 17])
+    f = random_mapping(rng, degree)
+    phi = MobiusAutomorphism(radius * np.exp(2j * np.pi * rng.uniform()), 2.0 * np.pi * rng.uniform())
+    comp, full = precompose(f, phi, 40), precompose(f, phi, 400)
+    for part, long, parent in ((comp.h, full.h, f.h), (comp.g, full.g, f.g)):
+        assert part.tail_bound >= np.abs(long.coefficients[41:]).sum()
+        want = reference_composition_tail(parent.coefficients, radius, 40)
+        assert part.tail_bound == pytest.approx(want, rel=1e-12)

@@ -30,7 +30,7 @@ from blochmap import (
     save_mapping,
     support_certificate,
 )
-from blochmap import cli, differentiate, extremal, mapping, optimize, support
+from blochmap import cli, differentiate, disk, extremal, mapping, optimize, support
 from blochmap.optimize import DISK_RADIUS_CAP, compass_maximize, polar_grid
 
 IDENTITY = HarmonicMapping(AnalyticSeries([0.0, 1.0]), AnalyticSeries([0.0]))
@@ -231,6 +231,111 @@ def test_sample_rows_report_stratum_sizes(count, want):
     h, g, sizes = support._draw_sample_rows(FAMILY, 0.3j, count, 61, np.random.default_rng(count))
     assert list(sizes.items()) == list(want.items())
     assert h.shape == g.shape == (count, 61)
+
+
+def reference_automorphism_series(c, order, rotation=0.0):
+    # the per-automorphism builder: abs(complex), and the rotation factor
+    # applied even at rotation 0, where it turns some -0.0 into 0.0
+    coeffs = np.empty(order + 1, dtype=complex)
+    coeffs[0] = -c
+    coeffs[1:] = np.conj(c) ** np.arange(order) * (1.0 - abs(c) ** 2)
+    return coeffs * np.exp(1j * rotation)
+
+
+def reference_mobius_row(w, columns):
+    # (z - w)/(1 - conj(w) z) minus its value at 0, cut after degree
+    # MOBIUS_SAMPLE_DEGREE
+    row = np.zeros(columns, dtype=complex)
+    top = min(columns - 1, support.MOBIUS_SAMPLE_DEGREE)
+    row[1:top + 1] = reference_automorphism_series(w, top)[1:]
+    return row
+
+
+def reference_draw_sample_rows(f, z0, count, columns, rng):
+    # the row-by-row draw, one generator call per rotation and per side choice
+    h_rows = np.zeros((count, columns), dtype=complex)
+    g_rows = np.zeros((count, columns), dtype=complex)
+    fh = np.zeros(columns, dtype=complex)
+    fg = np.zeros(columns, dtype=complex)
+    fh[: f.h.coefficients.size] = f.h.coefficients
+    fg[: f.g.coefficients.size] = f.g.coefficients
+    n_aligned = min(16, count)
+    n_poly = (count - n_aligned) * 2 // 5
+    n_mob = (count - n_aligned - n_poly) // 2
+    n_mix = count - n_aligned - n_poly - n_mob
+    for j in range(n_aligned):
+        if j % 4 == 0:
+            h_rows[j], g_rows[j] = fh, fg
+        elif j % 4 == 1:
+            rot = np.exp(2j * np.pi * rng.uniform())
+            h_rows[j], g_rows[j] = rot * fh, np.conj(rot) * fg
+        elif j % 4 == 2:
+            h_rows[j] = reference_mobius_row(z0, columns)
+        else:
+            g_rows[j] = reference_mobius_row(z0, columns)
+    i = n_aligned
+
+    def gaussian_rows(m, degree):
+        rows = rng.standard_normal((m, degree + 1)) + 1j * rng.standard_normal((m, degree + 1))
+        rows[:, 0] = 0.0
+        return rows
+
+    hp, gp = gaussian_rows(n_poly, 8), gaussian_rows(n_poly, 8)
+    drop = rng.uniform(size=n_poly)
+    hp[drop < 0.2] = 0.0
+    gp[(drop >= 0.2) & (drop < 0.4)] = 0.0
+    h_rows[i: i + n_poly, :9], g_rows[i: i + n_poly, :9] = hp, gp
+    i += n_poly
+    radii = rng.uniform(0.0, 0.85, n_mob)
+    angles = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n_mob))
+    for j in range(n_mob):
+        row = reference_mobius_row(complex(radii[j] * angles[j]), columns)
+        if rng.uniform() < 0.5:
+            h_rows[i + j] = row
+        else:
+            g_rows[i + j] = row
+    i += n_mob
+    t = rng.uniform(0.05, 0.95, n_mix)[:, None]
+    hp, gp = gaussian_rows(n_mix, 8), gaussian_rows(n_mix, 8)
+    h_rows[i:] = t * fh[None, :]
+    g_rows[i:] = t * fg[None, :]
+    h_rows[i:, :9] += (1.0 - t) * hp
+    g_rows[i:, :9] += (1.0 - t) * gp
+    sizes = {"aligned": n_aligned, "random_poly": n_poly, "mobius": n_mob, "mixture": n_mix}
+    return h_rows, g_rows, {name: size for name, size in sizes.items() if size}
+
+
+SAMPLED = {"identity": lambda: IDENTITY, "co-identity": lambda: CO_IDENTITY,
+           "f0.3": lambda: counterexample_family(0.3), "f0.75": lambda: FAMILY,
+           "f1": lambda: counterexample_family(1.0),
+           **{f"ball{d}": (lambda d=d: support.sample_unit_ball(d, d)) for d in (5, 30, 60)}}
+
+
+@pytest.mark.parametrize("name", list(SAMPLED))
+def test_sample_rows_match_the_row_loop(name):
+    # rows, strata and the generator state after the draw, bit for bit
+    f = SAMPLED[name]()
+    for count in (1, 3, 5, 16, 17, 22, 64, 128, 512):
+        for columns, z0 in ((61, 0j), (61, complex(0.6 * np.exp(1j * count))), (80, -0.45 + 0j)):
+            rng_got, rng_want = np.random.default_rng(count), np.random.default_rng(count)
+            h, g, sizes = support._draw_sample_rows(f, z0, count, columns, rng_got)
+            h_ref, g_ref, sizes_ref = reference_draw_sample_rows(f, z0, count, columns, rng_want)
+            assert same_raw_bits(h, h_ref) and same_raw_bits(g, g_ref)
+            assert list(sizes.items()) == list(sizes_ref.items())
+            assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+@pytest.mark.parametrize("rotation", [0.0, 1.1])
+def test_automorphism_series_rows_match_single_centres(rotation):
+    rng = np.random.default_rng(29)
+    centers = 0.99 * np.sqrt(rng.uniform(size=64)) * np.exp(2j * np.pi * rng.uniform(size=64))
+    centers[:6] = [0j, complex(-0.0, -0.0), complex(0.5, -0.0), complex(-0.0, 0.3), -0.5, 0.5j]
+    rows = disk._automorphism_series(centers, 60, rotation)
+    assert rows.shape == (64, 61)
+    for c, row in zip(centers, rows):
+        want = reference_automorphism_series(complex(c), 60, rotation)
+        assert same_raw_bits(row, want)
+        assert same_raw_bits(disk._automorphism_series(complex(c), 60, rotation), want)
 
 
 def test_ratio_max_keeps_nan_bounds(family_chunk):
