@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import AnalyticSeries
-from .mapping import HarmonicMapping
 
 __all__ = [
     "MobiusAutomorphism",
@@ -37,6 +36,23 @@ class MobiusAutomorphism:
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "rotation", float(self.rotation))
 
+    def __call__(self, z):
+        """The map at a point or elementwise on an array, unchecked."""
+        c = self.center
+        return np.exp(1j * self.rotation) * (z - c) / (1.0 - np.conj(c) * z)
+
+
+def _disk_weight(z):
+    """1 - |z|^2 at a point or elementwise on an array."""
+    return 1.0 - (z.real ** 2 + z.imag ** 2)
+
+
+def _pseudo_distance(z, w):
+    """|z - w| / |1 - conj(z) w| at points or on arrays, read off the identity
+    |1 - conj(z) w|^2 = |z - w|^2 + (1 - |z|^2)(1 - |w|^2): bit-symmetric."""
+    d = abs(z - w)
+    return d / (d * d + _disk_weight(z) * _disk_weight(w)) ** 0.5
+
 
 def hyperbolic_distance(z, w) -> float:
     """Hyperbolic distance arctanh |(z - w) / (1 - conj(z) w)| on the disk."""
@@ -45,20 +61,14 @@ def hyperbolic_distance(z, w) -> float:
     for p in (z, w):
         if not abs(p) < 1.0 - BOUNDARY_MARGIN:
             raise ValueError("hyperbolic distance requires points away from the boundary")
-    # not mapping._pseudo_distance: through it d(z, w) and d(w, z) differed by
-    # 1.6e-15 (test_distance_is_a_metric_sample allows 1e-15), and 45 of the
-    # 111 screen reference records moved their lipschitz_ratio
-    m = abs((z - w) / (1.0 - z.conjugate() * w))
-    return math.atanh(m)
+    return math.atanh(_pseudo_distance(z, w))
 
 
 def apply_automorphism(phi: MobiusAutomorphism, z) -> complex:
     z = complex(z)
     if not abs(z) < 1.0:
         raise ValueError("automorphisms act on the open disk")
-    num = z - phi.center
-    den = 1.0 - phi.center.conjugate() * z
-    return complex(np.exp(1j * phi.rotation)) * num / den
+    return complex(phi(z))
 
 
 def _automorphism_series(center, order: int, rotation: float = 0.0) -> np.ndarray:
@@ -88,9 +98,11 @@ def _composition_tail(coeffs: np.ndarray, c_abs: float, order: int) -> float:
 
     The composition is analytic up to |z| = 1/c_abs, so Cauchy estimates on a
     circle of radius rho in (1, 1/c_abs) bound every dropped coefficient; the
-    best of 24 radii is kept.  The bounds are summed in log space, so a bound
-    below the double range reads as the smallest positive double and one above
-    it as inf; only a zero polynomial has a zero tail.
+    best of 36 radii is kept, 24 spread over that interval and 12 geometric
+    ones within 1 of one, which a high degree at a small centre needs.  The
+    bounds are summed in log space, so a bound below the double range reads
+    as the smallest positive double and one above it as inf; only a zero
+    polynomial has a zero tail.
     """
     mags = np.abs(coeffs)
     if c_abs == 0.0:
@@ -99,7 +111,9 @@ def _composition_tail(coeffs: np.ndarray, c_abs: float, order: int) -> float:
     degrees = np.flatnonzero(mags)
     if degrees.size == 0:
         return 0.0
-    rho = 1.0 + np.linspace(0.05, 0.95, 24) * (1.0 / c_abs - 1.0)
+    span = 1.0 / c_abs - 1.0
+    rho = 1.0 + np.concatenate((np.linspace(0.05, 0.95, 24) * span,
+                                np.geomspace(1e-3, 1.0, 12) * min(1.0, 0.95 * span)))
     peak = (rho + c_abs) / (1.0 - c_abs * rho)
     # log of sum_k |a_k| peak^k for each rho, shifted by its largest term
     terms = np.log(mags[degrees]) + np.log(peak)[:, None] * degrees
@@ -126,6 +140,7 @@ def precompose(f, phi: MobiusAutomorphism, order: int):
     analytic part, which leaves the mapping and its derivatives unchanged,
     though not the modulus |h| + |g|.
     """
+    from .mapping import HarmonicMapping  # mapping imports this module
     order = int(order)
     if order < 1:
         raise ValueError("composition order must be at least 1")

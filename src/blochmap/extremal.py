@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import AnalyticSeries, linear_combination
+from .disk import _disk_weight, _pseudo_distance
 from .optimize import DISK_RADIUS_CAP
 from .mapping import (
     BLOCK_POINTS,
@@ -18,9 +19,7 @@ from .mapping import (
     LambdaReport,
     LevelSetShape,
     Ternary,
-    _disk_weight,
     _mu_values,
-    _pseudo_distance,
     _tail_allowance,
     _unit_level_side,
     bloch_norm,

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import AnalyticSeries, differentiate, eval_series, linear_combination, polyval_batch
+from .disk import _disk_weight, _pseudo_distance
 from .optimize import (DISK_GRID, DISK_RADIUS_CAP, MaximizationResult, _level_walks,
                        maximize_on_disk, polar_grid)
 
@@ -122,10 +123,6 @@ def _abs_sum(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.abs(polyval_batch(a, z)) + np.abs(polyval_batch(b, z))
 
 
-def _disk_weight(z: np.ndarray) -> np.ndarray:
-    return 1.0 - (z.real ** 2 + z.imag ** 2)
-
-
 def _weighted_abs_sum(a: np.ndarray, b: np.ndarray):
     """The vectorized objective z -> (1 - |z|^2)(|P_a(z)| + |P_b(z)|)."""
     def values(z):
@@ -151,14 +148,12 @@ def _mu_values(f: HarmonicMapping):
                                  differentiate(f.g).coefficients)
     parent, phi = link
     outer = _mu_values(parent)
-    c, rot = phi.center, np.exp(1j * phi.rotation)
 
     def values(z):
         z = np.asarray(z, dtype=complex)
         out = np.full(z.shape, -np.inf)
         inside = _disk_weight(z) > 0.0
-        w = z[inside]
-        out[inside] = outer(rot * (w - c) / (1.0 - np.conj(c) * w))
+        out[inside] = outer(phi(z[inside]))
         return out
 
     return values
@@ -265,11 +260,6 @@ def _unit_level_side(s: float, a: float) -> int:
     if not s <= 1.0 + a:
         return 1
     return -1 if 1.0 - s > a else 0
-
-
-def _pseudo_distance(z, w) -> np.ndarray:
-    """|(z - w) / (1 - conj(z) w)|; swapping z and w may move the last bit."""
-    return np.abs((z - w) / (1.0 - np.conj(z) * w))
 
 
 # the grid whose mu maxima anchor metric_beta_estimate's sample pairs

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .disk import _disk_weight
+
 __all__ = ["polar_grid", "compass_maximize", "maximize_on_disk", "MaximizationResult"]
 
 # searches never leave |z| <= 1 - 1e-9
@@ -252,7 +254,7 @@ def maximize_on_disk(values, level=None):
     order = np.argsort(gv)[::-1]
     seeds = _spread_top_indices(_DISK_POINTS, order, N_STARTS, GRID_STEP)
     starts = _DISK_POINTS[seeds]
-    steps = GRID_STEP * (1.0 - np.abs(starts) ** 2)
+    steps = GRID_STEP * _disk_weight(starts)
     if level is not None:
         level_starts = _DISK_POINTS[_level_seeds(gv, order, level)]
         starts = np.concatenate((starts, level_starts))

@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .series import AnalyticSeries, differentiate, dilate, eval_series, linear_combination, polyval_batch
+from .disk import _automorphism_series, _disk_weight
 from .optimize import DISK_RADIUS_CAP, compass_maximize, maximize_on_disk, polar_grid
 from .mapping import (
     HarmonicMapping,
     LambdaReport,
     LevelSetShape,
     _abs_sum,
-    _disk_weight,
     _json_pairs,
     _mu_values,
     _peel_constant,
@@ -33,7 +33,6 @@ from .mapping import (
     sup_modulus,
 )
 from .extremal import BLOCK_POINTS, membership
-from .disk import _automorphism_series
 
 __all__ = [
     "LinearFunctional",
@@ -540,7 +539,7 @@ def support_certificate(f: HarmonicMapping, samples: int = 10000, seed: int = 0)
     functional = PointDerivativeFunctional(z0, theta0, complex(weight))
 
     attained = float(functional.evaluate(f).real)
-    expected = 1.0 / (1.0 - abs(z0) ** 2) ** 2
+    expected = 1.0 / _disk_weight(z0) ** 2
     if abs(attained - expected) > 1e-6 * max(1.0, expected):
         raise RuntimeError("attained functional value drifted from the level-set identity")
 
@@ -568,7 +567,7 @@ def support_certificate(f: HarmonicMapping, samples: int = 10000, seed: int = 0)
 
     if sample_max > attained + 1e-8:
         raise RuntimeError("a sampled ball member exceeded the certified value")
-    bound = (abs(hp0) + abs(gp0)) / (1.0 - abs(z0) ** 2)
+    bound = (abs(hp0) + abs(gp0)) / _disk_weight(z0)
     return SupportCertificate(z0, float(theta0), functional, attained,
                               float(sample_max), bound, samples, seed,
                               lam.classification.value, strata)
@@ -640,8 +639,7 @@ def _inner_disk_gap(f: HarmonicMapping, radius: float) -> float:
     """Half the smallest gap of 1/(1-|z|^2) - (|h|+|g|) on the disk |z| <= radius,
     floored at zero; the declared tails count against the gap."""
     grid = polar_grid(48, 96, r_max=radius)
-    # not _disk_weight: test_inner_disk_gap_matches_inline_form pins these bits
-    inv = 1.0 / (1.0 - np.abs(grid) ** 2)
+    inv = 1.0 / _disk_weight(grid)
     moduli = _abs_sum(f.h.coefficients, f.g.coefficients, grid) + _tail_allowance(f)
     return max(0.5 * float((inv - moduli).min()), 0.0)
 

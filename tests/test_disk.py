@@ -18,7 +18,7 @@ from blochmap import (
     precompose,
     scale_mapping,
 )
-from blochmap import mapping
+from blochmap import disk, mapping
 from blochmap.disk import _automorphism_series, _composition_tail
 
 
@@ -44,10 +44,22 @@ def test_distance_is_a_metric_sample():
     for z in pts:
         assert hyperbolic_distance(z, z) == 0.0
     for z, w in zip(pts[:6], pts[6:]):
-        assert hyperbolic_distance(z, w) == pytest.approx(hyperbolic_distance(w, z), abs=1e-15)
+        assert hyperbolic_distance(z, w) == hyperbolic_distance(w, z)
     for z, w, v in zip(pts[:4], pts[4:8], pts[8:]):
         assert (hyperbolic_distance(z, w)
                 <= hyperbolic_distance(z, v) + hyperbolic_distance(v, w) + 1e-12)
+
+
+def test_pseudo_distance_is_bit_symmetric():
+    # 10^5 pairs, the second half with both points 1e-9 to 1e-2 inside the rim
+    rng = np.random.default_rng(31)
+    n = 50_000
+    radii = np.concatenate([np.sqrt(rng.random((2, n))),
+                            1.0 - 10.0 ** rng.uniform(-9, -2, (2, n))], axis=1)
+    z, w = radii * np.exp(2j * np.pi * rng.random(radii.shape))
+    zw, wz = disk._pseudo_distance(z, w), disk._pseudo_distance(w, z)
+    assert np.array_equal(zw.view(np.uint64), wz.view(np.uint64))
+    assert ((zw >= 0.0) & (zw <= 1.0)).all()
 
 
 def test_distance_rejects_boundary():
@@ -311,13 +323,29 @@ def test_tiny_centre_keeps_the_family_accuracy():
 
 
 def test_tail_above_the_double_range_reads_inf_quietly():
-    # degree 60 against order 40 at c = 1e-200: the best Cauchy bound is
-    # about e^8000, so the tails are inf, with no overflow or inf * 0
+    # the degree-60 map scaled by 1e300 at c = 0.5: every Cauchy bound lies
+    # above the double range, so the tails are inf, with no overflow or inf * 0
+    f = random_mapping(np.random.default_rng(60), 60)
+    f = HarmonicMapping(AnalyticSeries(1e300 * f.h.coefficients),
+                        AnalyticSeries(1e300 * f.g.coefficients))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        comp = precompose(f, MobiusAutomorphism(0.5), 40)
+    assert comp.h.tail_bound == comp.g.tail_bound == np.inf
+
+
+@pytest.mark.parametrize("center", [1e-3, 1e-2, 1e-200])
+def test_small_centre_tail_reads_radii_near_one(center):
+    # degree 60 against order 40: the best Cauchy radius lies near one; the
+    # 24 spread radii alone read 4e33 at c = 1e-3 and inf at c = 1e-200,
+    # while the true tails are about 25
     f = random_mapping(np.random.default_rng(60), 60)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        comp = precompose(f, MobiusAutomorphism(1e-200), 40)
-    assert comp.h.tail_bound == comp.g.tail_bound == np.inf
+        phi = MobiusAutomorphism(center)
+        comp, full = precompose(f, phi, 40), precompose(f, phi, 400)
+    for part, long in ((comp.h, full.h), (comp.g, full.g)):
+        assert np.abs(long.coefficients[41:]).sum() <= part.tail_bound <= 1e4
 
 
 def reference_composition_tail(coeffs, c_abs, order):

@@ -1,6 +1,7 @@
 """The package surface: one list of public names per submodule, no unused
-import in the package's modules, and demos that import only names that
-exist (tier-1 never runs the demos)."""
+import in the package's modules, disk geometry below every other module
+but series, and demos that import only names that exist (tier-1 never
+runs the demos)."""
 
 import ast
 import importlib
@@ -77,3 +78,23 @@ def test_package_modules_import_nothing_unused(path):
     tree = ast.parse(path.read_text(), str(path))
     unused = set(imported_names(tree)) - set(used_names(tree))
     assert not unused, f"{path.name}: {sorted(unused)}"
+
+
+def test_disk_geometry_sits_below_the_analyses():
+    # disk.py's module level imports only series, so every module can read
+    # its one copy of 1 - |z|^2 and of the pseudo-hyperbolic distance
+    tree = ast.parse(Path(disk.__file__).read_text(), disk.__file__)
+    modules = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            if node.level or (node.module or "").startswith("blochmap"):
+                modules.add((node.module or "").rpartition(".")[2])
+        elif isinstance(node, ast.Import):
+            modules.update(a.name.rpartition(".")[2] for a in node.names
+                           if a.name.startswith("blochmap"))
+    assert modules == {"series"}
+    for name in ("_disk_weight", "_pseudo_distance"):
+        holders = [m for m in (optimize, mapping, extremal, support) if hasattr(m, name)]
+        assert holders, name
+        for module in holders:
+            assert getattr(module, name) is getattr(disk, name), (module.__name__, name)
