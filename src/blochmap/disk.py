@@ -129,9 +129,10 @@ def precompose(f, phi: MobiusAutomorphism, order: int):
     """f o phi: its truncated series, renormalized so the co-analytic part
     kills 0, and an exact mu.
 
-    mu of the result is mu_f(phi(z)), evaluated exactly at f's degree:
-    the result carries ``(f, phi)``, and ``mapping._mu_values`` reads it, so
-    the Bloch constant, the level set and ``mu`` itself see no truncation.
+    mu of the result is mu_f(phi(z)), evaluated exactly at f's degree: its
+    ``_composition`` field holds ``(f, phi)``, which ``mapping._mu_values``
+    reads, so the Bloch constant, the level set and ``mu`` itself see no
+    truncation.
     `order` sets only the coefficient series and its declared tail, which
     coefficient consumers, ``f(z)``, ``sup_modulus`` and the accuracy that
     ``estimate_bloch_constant`` reports still read; the caller picks it for
@@ -153,9 +154,8 @@ def precompose(f, phi: MobiusAutomorphism, order: int):
     def out_tail(s):
         return _composition_tail(s.coefficients, abs(phi.center), order) if s.is_exact else np.inf
 
-    out = HarmonicMapping(
+    return HarmonicMapping(
         AnalyticSeries(h_new, out_tail(f.h)),
         AnalyticSeries(g_new, out_tail(f.g)),
+        (f, phi),
     )
-    vars(out)["_composition"] = (f, phi)
-    return out

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,10 +60,18 @@ class LevelSetShape(str, enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class HarmonicMapping:
-    """f = h + conj(g) in canonical form: the co-analytic part vanishes at 0."""
+    """f = h + conj(g) in canonical form: the co-analytic part vanishes at 0.
+
+    ``_composition`` is ``(p, phi)`` on a composition p o phi and None on
+    every other mapping.  ``disk.precompose`` sets it, ``scale_mapping`` and
+    ``_peel_constant`` pass it on, and ``_mu_values`` and
+    ``little_bloch_status`` read it; every other constructor, ``add_mappings``
+    and ``mapping_from_dict`` among them, leaves it None.
+    """
 
     h: AnalyticSeries
     g: AnalyticSeries
+    _composition: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.g.coefficients[0] != 0:
@@ -79,7 +87,7 @@ class HarmonicMapping:
     @functools.cached_property
     def _estimate(self) -> MaximizationResult:
         # the memo of estimate_bloch_constant, held in the instance dict;
-        # lambda_set or scale_mapping may fill it first
+        # lambda_set, scale_mapping or _peel_constant may fill it first
         return _with_tail_accuracy(self, maximize_on_disk(_mu_values(self)))
 
 
@@ -106,14 +114,14 @@ def scale_mapping(f: HarmonicMapping, factor) -> HarmonicMapping:
     """
     factor = complex(factor)
     zero = AnalyticSeries([0.0])
+    link = f._composition
+    if link is not None:
+        link = (scale_mapping(link[0], factor), link[1])
     out = HarmonicMapping(linear_combination(factor, f.h, 0.0, zero),
-                          linear_combination(factor, f.g, 0.0, zero))
+                          linear_combination(factor, f.g, 0.0, zero), link)
     if factor and "_estimate" in vars(f):
         est, s = f._estimate, abs(factor)
         vars(out)["_estimate"] = MaximizationResult(est.value * s, est.accuracy * s, est.argmax)
-    link = vars(f).get("_composition")
-    if link is not None:
-        vars(out)["_composition"] = (scale_mapping(link[0], factor), link[1])
     return out
 
 
@@ -135,18 +143,17 @@ def _weighted_abs_sum(a: np.ndarray, b: np.ndarray):
 def _mu_values(f: HarmonicMapping):
     """mu_f as a vectorized objective.
 
-    A composition f = p o phi built by ``disk.precompose`` carries
-    ``(p, phi)`` as ``_composition`` and evaluates mu_p(phi(z)), which is
-    mu_f exactly (mu is invariant under disk automorphisms), at p's degree
-    and without truncation; nested compositions recurse.  Off the open disk
+    A composition f = p o phi, whose ``_composition`` field holds
+    ``(p, phi)``, evaluates mu_p(phi(z)), which is mu_f exactly (mu is
+    invariant under disk automorphisms), at p's degree and without
+    truncation; nested compositions recurse.  Off the open disk
     it reads -inf without evaluating, since phi has its pole at
     1/conj(center) and the compass masks those points anyway.
     """
-    link = vars(f).get("_composition")
-    if link is None:
+    if f._composition is None:
         return _weighted_abs_sum(differentiate(f.h).coefficients,
                                  differentiate(f.g).coefficients)
-    parent, phi = link
+    parent, phi = f._composition
     outer = _mu_values(parent)
 
     def values(z):
@@ -215,10 +222,8 @@ def _peel_constant(f: HarmonicMapping, lam1: float) -> HarmonicMapping:
     seeds without a search, on the exact mu of a composition.
     """
     free = HarmonicMapping(AnalyticSeries(np.r_[0.0, f.h.coefficients[1:]], f.h.tail_bound),
-                           f.g)
+                           f.g, f._composition)
     vars(free)["_estimate"] = f._estimate
-    if "_composition" in vars(f):
-        vars(free)["_composition"] = vars(f)["_composition"]
     return scale_mapping(free, 1.0 / (1.0 - lam1))
 
 
@@ -241,9 +246,8 @@ def little_bloch_status(f: HarmonicMapping) -> Ternary:
     ``disk.precompose`` returns p's status: mu_{p o phi} = mu_p o phi, and
     phi maps the boundary onto itself.
     """
-    link = vars(f).get("_composition")
-    if link is not None:
-        return little_bloch_status(link[0])
+    if f._composition is not None:
+        return little_bloch_status(f._composition[0])
     if f.h.is_exact and f.g.is_exact:
         return Ternary.TRUE
     return Ternary.UNDECIDED
