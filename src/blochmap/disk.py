@@ -33,6 +33,8 @@ class MobiusAutomorphism:
         c = complex(self.center)
         if not abs(c) < 1.0:
             raise ValueError("automorphism center must lie in the open disk")
+        if not math.isfinite(self.rotation):
+            raise ValueError("automorphism rotation must be finite")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "rotation", float(self.rotation))
 
@@ -54,14 +56,20 @@ def _pseudo_distance(z, w):
     return d / (d * d + _disk_weight(z) * _disk_weight(w)) ** 0.5
 
 
+def _sinh_distance(z, w):
+    """sinh rho(z, w) = |z - w| / sqrt((1 - |z|^2)(1 - |w|^2)) at points or on arrays."""
+    return abs(z - w) / np.sqrt(_disk_weight(z) * _disk_weight(w))
+
+
 def hyperbolic_distance(z, w) -> float:
-    """Hyperbolic distance arctanh |(z - w) / (1 - conj(z) w)| on the disk."""
+    """Hyperbolic distance on the disk as asinh(sinh rho): bit-symmetric, and well
+    conditioned also where the pseudo-distance |(z - w) / (1 - conj(z) w)| rounds to 1."""
     z = complex(z)
     w = complex(w)
     for p in (z, w):
         if not abs(p) < 1.0 - BOUNDARY_MARGIN:
             raise ValueError("hyperbolic distance requires points away from the boundary")
-    return math.atanh(_pseudo_distance(z, w))
+    return math.asinh(_sinh_distance(z, w))
 
 
 def apply_automorphism(phi: MobiusAutomorphism, z) -> complex:
@@ -131,8 +139,7 @@ def precompose(f, phi: MobiusAutomorphism, order: int):
 
     mu of the result is mu_f(phi(z)), evaluated exactly at f's degree: its
     ``_composition`` field holds ``(f, phi)``, which ``mapping._mu_values``
-    reads, so the Bloch constant, the level set and ``mu`` itself see no
-    truncation.
+    reads, so the Bloch constant, the level set and ``mu`` see no truncation.
     `order` sets only the coefficient series and its declared tail, which
     coefficient consumers, ``f(z)``, ``sup_modulus`` and the accuracy that
     ``estimate_bloch_constant`` reports still read; the caller picks it for
@@ -154,8 +161,5 @@ def precompose(f, phi: MobiusAutomorphism, order: int):
     def out_tail(s):
         return _composition_tail(s.coefficients, abs(phi.center), order) if s.is_exact else np.inf
 
-    return HarmonicMapping(
-        AnalyticSeries(h_new, out_tail(f.h)),
-        AnalyticSeries(g_new, out_tail(f.g)),
-        (f, phi),
-    )
+    return HarmonicMapping(AnalyticSeries(h_new, out_tail(f.h)),
+                           AnalyticSeries(g_new, out_tail(f.g)), (f, phi))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .series import AnalyticSeries, differentiate, eval_series, linear_combination, polyval_batch
-from .disk import _disk_weight, _pseudo_distance
+from .disk import _disk_weight, _sinh_distance
 from .optimize import (DISK_GRID, DISK_RADIUS_CAP, MaximizationResult, _level_walks,
                        maximize_on_disk, polar_grid)
 
@@ -62,12 +62,9 @@ class LevelSetShape(str, enum.Enum):
 class HarmonicMapping:
     """f = h + conj(g) in canonical form: the co-analytic part vanishes at 0.
 
-    ``_composition`` is ``(p, phi)`` on a composition p o phi and None on
-    every other mapping.  ``disk.precompose`` sets it, ``scale_mapping`` and
-    ``_peel_constant`` pass it on, and ``_mu_values`` and
-    ``little_bloch_status`` read it; every other constructor, ``add_mappings``
-    and ``mapping_from_dict`` among them, leaves it None.
-    """
+    ``_composition`` is ``(p, phi)`` on a composition p o phi: set by
+    ``disk.precompose``, passed on by ``scale_mapping`` and ``_peel_constant``,
+    and None from every other constructor, ``add_mappings`` included."""
 
     h: AnalyticSeries
     g: AnalyticSeries
@@ -101,16 +98,14 @@ def add_mappings(f1: HarmonicMapping, f2: HarmonicMapping) -> HarmonicMapping:
 def scale_mapping(f: HarmonicMapping, factor) -> HarmonicMapping:
     """Scale both parts by one complex factor, carrying f's Bloch estimate.
 
-    mu of the result is mu_f times |factor| up to rounding, so when f's
-    estimate is memoized and the factor is nonzero, that estimate with value
-    and accuracy scaled by |factor| fills the result's memo: ``membership``,
-    ``bloch_norm`` and ``lambda_set`` on ``f / beta_f`` then run no search.
-    The result's β thus depends on whether f was searched first, within the
-    reported accuracy.  Scaling never starts a search; an f not yet
-    estimated leaves the result to its own.  A zero factor carries nothing,
-    since an unbounded tail's accuracy times zero would be NaN.  A
-    composition p o phi from ``disk.precompose`` scales to a composition of
-    ``scale_mapping(p, factor)`` with phi, so its mu stays exact.
+    mu of the result is mu_f times |factor| up to rounding, so a nonzero factor
+    scales f's memoized estimate, value and accuracy, into the result's memo:
+    ``membership``, ``bloch_norm`` and ``lambda_set`` on ``f / beta_f`` then
+    run no search, and the result's β depends, within the reported accuracy,
+    on whether f was searched first.  Scaling never starts a search.  A zero
+    factor carries nothing, since an unbounded tail's accuracy times zero
+    would be NaN.  A ``_composition`` (p, phi) becomes
+    (``scale_mapping(p, factor)``, phi), so mu stays exact.
     """
     factor = complex(factor)
     zero = AnalyticSeries([0.0])
@@ -143,11 +138,10 @@ def _weighted_abs_sum(a: np.ndarray, b: np.ndarray):
 def _mu_values(f: HarmonicMapping):
     """mu_f as a vectorized objective.
 
-    A composition f = p o phi, whose ``_composition`` field holds
-    ``(p, phi)``, evaluates mu_p(phi(z)), which is mu_f exactly (mu is
-    invariant under disk automorphisms), at p's degree and without
-    truncation; nested compositions recurse.  Off the open disk
-    it reads -inf without evaluating, since phi has its pole at
+    A composition f = p o phi, whose ``_composition`` is ``(p, phi)``, reads
+    mu_p(phi(z)): mu_f exactly (mu is invariant under disk automorphisms), at
+    p's degree and without truncation; nested compositions recurse.  Off the
+    open disk it reads -inf without evaluating, since phi has its pole at
     1/conj(center) and the compass masks those points anyway.
     """
     if f._composition is None:
@@ -205,10 +199,7 @@ def estimate_bloch_constant(f: HarmonicMapping) -> MaximizationResult:
 
     A mapping built by ``scale_mapping`` from an already estimated f, such as
     ``f / beta_f``, ``sample_unit_ball``'s output or ``decompose``'s residual,
-    inherits f's estimate scaled by |factor| instead of searching.  Its value
-    then depends on whether f was searched first, within the reported
-    accuracy: a fresh search of the scaled mapping may land elsewhere in that
-    interval.
+    inherits f's estimate scaled by |factor| instead of searching.
     """
     return f._estimate
 
@@ -216,10 +207,9 @@ def estimate_bloch_constant(f: HarmonicMapping) -> MaximizationResult:
 def _peel_constant(f: HarmonicMapping, lam1: float) -> HarmonicMapping:
     """(f - f(0)) / (1 - lam1) for lam1 < 1, carrying f's Bloch estimate.
 
-    Dropping h(0) leaves mu_f bit for bit, so the constant-free part holds
-    f's estimate and a composition's link unchanged, and ``scale_mapping``
-    scales both by 1/(1 - lam1): the result's level set then walks its level
-    seeds without a search, on the exact mu of a composition.
+    Dropping h(0) leaves mu_f bit for bit, so the constant-free part keeps f's
+    estimate and ``_composition``, which ``scale_mapping`` scales by 1/(1 - lam1):
+    the result's level walkers run without a search, on a composition's exact mu.
     """
     free = HarmonicMapping(AnalyticSeries(np.r_[0.0, f.h.coefficients[1:]], f.h.tail_bound),
                            f.g, f._composition)
@@ -289,7 +279,7 @@ def metric_beta_estimate(f: HarmonicMapping, samples: int, seed: int = 0) -> flo
     best = 0.0
 
     def quotient_max(z, w):
-        rho = np.arctanh(_pseudo_distance(z, w))
+        rho = np.arcsinh(_sinh_distance(z, w))
         return float((np.abs(_evaluate_many(f, z) - _evaluate_many(f, w)) / rho).max())
 
     n_dirs = 16
@@ -514,6 +504,7 @@ def mu_grid_rows(f: HarmonicMapping, n_radii=DISK_GRID[0], n_angles=DISK_GRID[1]
 
 
 def mapping_to_dict(f: HarmonicMapping) -> dict:
+    """f's truncated series and tails as JSON-ready data: no ``_composition``."""
     return {
         "h": _to_json_pairs(f.h.coefficients),
         "g": _to_json_pairs(f.g.coefficients),
@@ -568,6 +559,7 @@ def mapping_from_dict(data: dict) -> HarmonicMapping:
 
 
 def save_mapping(f: HarmonicMapping, path) -> None:
+    """``mapping_to_dict(f)`` as UTF-8 JSON: a composition reloads without exact mu."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(mapping_to_dict(f), fh, indent=2)
 

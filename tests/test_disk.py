@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -7,12 +8,15 @@ from blochmap import (
     AnalyticSeries,
     HarmonicMapping,
     MobiusAutomorphism,
+    Ternary,
+    add_mappings,
     apply_automorphism,
     bloch_constant,
     counterexample_family,
     estimate_bloch_constant,
     hyperbolic_distance,
     lambda_set,
+    little_bloch_status,
     mu,
     mu_grid_rows,
     precompose,
@@ -20,6 +24,7 @@ from blochmap import (
 )
 from blochmap import disk, mapping
 from blochmap.disk import _automorphism_series, _composition_tail
+from blochmap.series import differentiate
 
 
 def test_distance_from_origin_is_arctanh():
@@ -62,6 +67,17 @@ def test_pseudo_distance_is_bit_symmetric():
     assert ((zw >= 0.0) & (zw <= 1.0)).all()
 
 
+def test_distance_near_the_rim_matches_the_closed_form():
+    # rho(r, -r) = log((1 + r)/(1 - r)) with 1 - r exact for r >= 0.5, out to
+    # the boundary margin: the pseudo-distance rounds to one beyond
+    # 1 - r ~ 1e-9, where arctanh of it loses every digit or fails.  The
+    # bound is set by 1 - r^2, rounded in the disk weight
+    for gap in np.geomspace(0.5, 2e-12, 200):
+        r = 1.0 - float(gap)
+        exact = math.log1p(r) - math.log(1.0 - r)
+        assert hyperbolic_distance(r, -r) == pytest.approx(exact, rel=1e-9, abs=0.0)
+
+
 def test_distance_rejects_boundary():
     with pytest.raises(ValueError):
         hyperbolic_distance(1.0, 0.0)
@@ -88,6 +104,14 @@ def test_automorphism_rejects_non_finite_points(z):
         MobiusAutomorphism(z)
     with pytest.raises(ValueError):
         apply_automorphism(MobiusAutomorphism(0.2j), z)
+
+
+@pytest.mark.parametrize("z", NON_FINITE, ids=NON_FINITE_IDS)
+def test_automorphism_rejects_non_finite_rotation(z):
+    # the non-finite part of z as the angle: accepted, it made phi read nan
+    # at every point, and precompose failed on its coefficients
+    with pytest.raises(ValueError, match="rotation"):
+        MobiusAutomorphism(0.1, z.real + z.imag)
 
 
 def test_automorphism_construction():
@@ -236,6 +260,24 @@ def test_scaled_composition_keeps_its_exact_mu(seed):
         assert mu(peeled, p) == pytest.approx(mu(f, w) / (1.0 - lam1), rel=1e-12)
         w = apply_automorphism(phi, apply_automorphism(psi, p))
         assert mu(nested, p) == pytest.approx(abs(c * d) * mu(f, w), rel=1e-12)
+
+
+def test_a_sum_drops_the_composition_link():
+    # f + 0 is built from its truncated series alone: its mu is the series'
+    # own, far from mu_f o phi at a centre near the rim, and the series'
+    # declared tail leaves its little Bloch status undecided
+    comp = precompose(counterexample_family(0.75), MobiusAutomorphism(0.99, 0.3), 5)
+    zero = HarmonicMapping(AnalyticSeries([0.0]), AnalyticSeries([0.0]))
+    total = add_mappings(comp, zero)
+    assert total._composition is None
+    own = mapping._weighted_abs_sum(differentiate(total.h).coefficients,
+                                    differentiate(total.g).coefficients)
+    z = [0.0, 0.5, -0.9j, 0.3 + 0.6j, -0.99]
+    series_mu = [own(np.array([p]))[0] for p in z]
+    assert [mu(total, p) for p in z] == series_mu
+    assert not np.allclose([mu(comp, p) for p in z], series_mu, rtol=1e-3)
+    assert little_bloch_status(comp) is Ternary.TRUE
+    assert little_bloch_status(total) is Ternary.UNDECIDED
 
 
 def test_composed_mu_reads_minus_inf_only_off_the_disk():

@@ -80,9 +80,33 @@ def test_package_modules_import_nothing_unused(path):
     assert not unused, f"{path.name}: {sorted(unused)}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_instance_dicts_hold_only_the_beta_memo(path):
+    # state between mappings lives in declared fields: vars(...) may only
+    # read or fill the _estimate memo, by subscript, .get or `in`
+    tree = ast.parse(path.read_text(), str(path))
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+    def is_memo(node):
+        return isinstance(node, ast.Constant) and node.value == "_estimate"
+
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "vars"):
+            continue
+        up = parents[node]
+        keyed = ((isinstance(up, ast.Subscript) and up.value is node and is_memo(up.slice))
+                 or (isinstance(up, ast.Attribute) and up.attr == "get"
+                     and isinstance(parents[up], ast.Call) and parents[up].args
+                     and is_memo(parents[up].args[0]))
+                 or (isinstance(up, ast.Compare) and up.comparators[-1] is node
+                     and isinstance(up.ops[-1], (ast.In, ast.NotIn)) and is_memo(up.left)))
+        assert keyed, f"{path.name}:{node.lineno}: vars() not keyed on '_estimate'"
+
+
 def test_disk_geometry_sits_below_the_analyses():
     # disk.py's module level imports only series, so every module can read
-    # its one copy of 1 - |z|^2 and of the pseudo-hyperbolic distance
+    # its one copy of 1 - |z|^2, of the pseudo-hyperbolic distance and of sinh rho
     tree = ast.parse(Path(disk.__file__).read_text(), disk.__file__)
     modules = set()
     for node in tree.body:
@@ -93,7 +117,7 @@ def test_disk_geometry_sits_below_the_analyses():
             modules.update(a.name.rpartition(".")[2] for a in node.names
                            if a.name.startswith("blochmap"))
     assert modules == {"series"}
-    for name in ("_disk_weight", "_pseudo_distance"):
+    for name in ("_disk_weight", "_pseudo_distance", "_sinh_distance"):
         holders = [m for m in (optimize, mapping, extremal, support) if hasattr(m, name)]
         assert holders, name
         for module in holders:
